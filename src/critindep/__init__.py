@@ -16,15 +16,15 @@ from .critical import (CriticalProfile, HXGadget, MinimalDecomposition,
                        critical_difference_oracle, critical_profile,
                        decompose_minimal, diadem, diadem_oracle,
                        enumerate_critical_sets,
-                       enumerate_minimal_positive_sets, is_critical_by_matching,
-                       ker, min_cardinality_positive_subset,
+                       enumerate_minimal_positive_sets, ker,
+                       min_cardinality_positive_subset,
                        union_is_minimal_union, verify_hx_ker)
 from .unicyclic import (BuildScript, ColoredUnicyclic, disconnected_invariants,
                         generate, generate_random, is_ke, parse_script,
                         recognize, script_to_text)
 # The decomposition function lives at critindep.gallai_edmonds.gallai_edmonds;
 # importing it here would shadow the submodule attribute.
-from .gallai_edmonds import (GallaiEdmondsPartition, check_corollary_56,
-                             check_lemma_54, check_theorem_53)
+from .gallai_edmonds import (GallaiEdmondsPartition, check_lemma_54,
+                             check_theorem_53)
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import critical as cr
 from . import unicyclic as uc
-from .errors import FormatError, GraphError, ScriptError
+from .errors import FormatError, GraphError
 from .graphs import Graph, parse_edge_list, parse_graph6, to_graph6
 from .reports import analyze, render_text
 from .verification import FAMILIES, Limits, SweepConfig, run_sweep
@@ -28,26 +29,23 @@ EXIT_LIMIT = 3
 
 
 def _limits_from(args) -> Limits:
-    env = os.environ
-
-    def pick(flag_value, env_key, default):
+    """Limits from the flags, else the CRITINDEP_*_LIMIT variables, else
+    the defaults.  A non-integer variable raises ValueError."""
+    overrides = {}
+    for field, flag_value, env_key in (
+            ("enumeration", args.enum_limit, "CRITINDEP_ENUM_LIMIT"),
+            ("omega", args.omega_limit, "CRITINDEP_OMEGA_LIMIT"),
+            ("alpha_exact", args.alpha_limit, "CRITINDEP_ALPHA_LIMIT")):
         if flag_value is not None:
-            return flag_value
-        if env_key in env:
-            return int(env[env_key])
-        return default
-
-    base = Limits()
-    return Limits(
-        enumeration=pick(args.enum_limit, "CRITINDEP_ENUM_LIMIT",
-                         base.enumeration),
-        omega=pick(args.omega_limit, "CRITINDEP_OMEGA_LIMIT", base.omega),
-        alpha_exact=pick(args.alpha_limit, "CRITINDEP_ALPHA_LIMIT",
-                         base.alpha_exact),
-        matching_brute=base.matching_brute,
-        pair_subsets=base.pair_subsets,
-        ge_oracle=base.ge_oracle,
-    )
+            overrides[field] = flag_value
+        elif env_key in os.environ:
+            raw = os.environ[env_key]
+            try:
+                overrides[field] = int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{env_key} must be an integer, got {raw!r}") from None
+    return dataclasses.replace(Limits(), **overrides)
 
 
 def _load_graph(path: str, fmt: str) -> tuple[Graph, bytes, str]:
@@ -75,10 +73,10 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_analyze(args) -> int:
-    limits = _limits_from(args)
     try:
+        limits = _limits_from(args)
         g, data, fmt = _load_graph(args.path, args.format)
-    except (FormatError, UnicodeDecodeError) as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     report = analyze(g, limits, source=data, fmt=fmt, seed=args.seed)
@@ -99,7 +97,7 @@ def cmd_generate(args) -> int:
             cyc, n_p2, n_leaf = (int(x) for x in args.random.split(","))
             script, _ = uc.generate_random(cyc, n_p2, n_leaf, seed=args.seed)
         cu = uc.generate(script)
-    except (ScriptError, GraphError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     g6 = to_graph6(cu.graph)
@@ -120,7 +118,7 @@ def cmd_recognize(args) -> int:
     try:
         g, _, _ = _load_graph(args.path, args.format)
         cu = uc.recognize(g)
-    except (FormatError, UnicodeDecodeError, GraphError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if cu is None:
@@ -132,17 +130,17 @@ def cmd_recognize(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = args.checks.split(",") if args.checks else None
-    config = SweepConfig(
-        family=args.family,
-        min_n=args.min_n,
-        max_n=args.max_n,
-        samples=args.samples,
-        seed=args.seed,
-        checks=checks,
-        limits=_limits_from(args),
-        inject_failure=args.inject_failure,
-    )
     try:
+        config = SweepConfig(
+            family=args.family,
+            min_n=args.min_n,
+            max_n=args.max_n,
+            samples=args.samples,
+            seed=args.seed,
+            checks=checks,
+            limits=_limits_from(args),
+            inject_failure=args.inject_failure,
+        )
         result = run_sweep(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -188,7 +186,7 @@ def cmd_hx(args) -> int:
         g, _, _ = _load_graph(args.path, args.format)
         xset = [int(v) for v in args.set.split(",")] if args.set else []
         gadget = cr.build_hx(g, xset)
-    except (FormatError, UnicodeDecodeError, GraphError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     embedded = sorted(gadget.embedding[u] for u in gadget.x)

@@ -22,7 +22,7 @@ from .errors import LimitExceededError, PreconditionError
 from .graphs import (Graph, VertexSet, bits, delete_vertices, neighborhood,
                      set_of)
 from .independence import is_independent
-from .matching import Matching, _hopcroft_karp, matching_from_into
+from .matching import _hopcroft_karp
 
 ENUMERATION_LIMIT = 16
 SUBSET_SEARCH_LIMIT = 25
@@ -146,7 +146,6 @@ def enumerate_minimal_positive_sets(
     for mask in range(1, size):
         if dtab[mask] > 0:
             anypos[mask] = 1
-            sub = mask
             minimal = True
             for v in bits(mask):
                 if anypos[mask ^ (1 << v)]:
@@ -322,19 +321,8 @@ def union_is_minimal_union(g: Graph, x: Iterable[int],
 
 
 # ---------------------------------------------------------------------------
-# Criticality and the ker-diadem inequality machinery
+# Lemma 3.1
 # ---------------------------------------------------------------------------
-
-def is_critical_by_matching(g: Graph, x: Iterable[int]) -> bool:
-    """For independent x containing ker(g): critical iff there is a
-    matching from N(x) into x."""
-    xset = set_of(g.mask_of(x))
-    if not is_independent(g, xset):
-        raise PreconditionError("x must be independent")
-    if not ker(g) <= xset:
-        raise PreconditionError("x must contain ker of the graph")
-    return matching_from_into(g, neighborhood(g, xset), xset) is not None
-
 
 def check_lemma_31(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
     """For critical independent x, y: |N(x) meet y| = |N(y) meet x|."""
@@ -348,19 +336,6 @@ def check_lemma_31(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
             raise PreconditionError(f"{name} must be critical")
     return (len(neighborhood(g, xset) & yset)
             == len(neighborhood(g, yset) & xset))
-
-
-def check_theorem_32(g: Graph, limit: int = ENUMERATION_LIMIT) -> bool:
-    """Diadem is contained in X + N(X) - N(ker) for every inclusion-maximal
-    critical independent set X."""
-    cis = enumerate_critical_sets(g, independent_only=True, limit=limit)
-    maximal = [s for s in cis if not any(s < t for t in cis)]
-    dia = diadem(g)
-    nker = neighborhood(g, ker(g))
-    for xset in maximal:
-        if not dia <= (xset | neighborhood(g, xset)) - nker:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

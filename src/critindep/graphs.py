@@ -193,7 +193,6 @@ def find_unique_cycle(g: Graph) -> list[int] | None:
 
 def canonical_cycle(cycle: list[int]) -> list[int]:
     """Rotate/reflect a cyclic vertex sequence to its canonical form."""
-    k = len(cycle)
     i = cycle.index(min(cycle))
     rot = cycle[i:] + cycle[:i]
     if rot[1] > rot[-1]:
@@ -209,6 +208,7 @@ def canonical_cycle(cycle: list[int]) -> list[int]:
 def parse_edge_list(text: str) -> Graph:
     header = None
     edges = []
+    seen = set()
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -232,8 +232,9 @@ def parse_edge_list(text: str) -> Graph:
             raise FormatError("non-integer edge endpoints", lineno) from None
         if not (0 <= u < v < n):
             raise FormatError(f"edge ({u},{v}) violates 0 <= u < v < n={n}", lineno)
-        if (u, v) in edges:
+        if (u, v) in seen:
             raise FormatError(f"duplicate edge ({u},{v})", lineno)
+        seen.add((u, v))
         edges.append((u, v))
     if header is None:
         raise FormatError("missing 'n m' header")

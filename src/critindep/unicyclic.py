@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (NotUnicyclicError, PreconditionError, ScriptError)
@@ -312,14 +311,3 @@ def script_to_text(script: BuildScript) -> str:
     lines = [f"cycle {script.cycle_length}"]
     lines.extend(f"{kind} {target}" for kind, target in script.steps)
     return "\n".join(lines) + "\n"
-
-
-def validate_script(script: BuildScript) -> None:
-    """Raise ScriptError if the script violates the construction rules."""
-    generate(script)
-
-
-def coloring_from_json(text: str) -> dict:
-    data = json.loads(text)
-    return {key: sorted(data[key]) if key != "cycle" else list(data[key])
-            for key in ("blue", "red", "black", "cycle")}

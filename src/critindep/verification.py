@@ -12,8 +12,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-
-import numpy as np
+from math import comb
 
 from . import critical as cr
 from . import gallai_edmonds as ge
@@ -21,18 +20,18 @@ from . import independence as ind
 from . import matching as mt
 from . import unicyclic as uc
 from .graphs import (Graph, bits, connected_components, delete_vertices,
-                     set_of, to_graph6)
+                     neighborhood, set_of, to_graph6)
 
 
 @dataclass(frozen=True)
 class Limits:
-    enumeration: int = 16       # full 2^n subset tables
-    omega: int = 20             # maximum-independent-set enumeration
-    alpha_exact: int = 40       # branch-and-bound independence number
-    matching_brute: int = 12    # brute-force matching oracle
+    enumeration: int = cr.ENUMERATION_LIMIT     # full 2^n subset tables
+    omega: int = ind.ENUMERATION_LIMIT          # all maximum independent sets
+    alpha_exact: int = ind.ALPHA_LIMIT          # branch-and-bound alpha
+    matching_brute: int = mt.BRUTE_FORCE_LIMIT  # brute-force matching oracle
     pair_subsets: int = 10      # all-pairs checks over critical sets
-    ge_oracle: int = 10         # all-maximum-matchings enumeration
-    supermod_pairs: int = 10_000
+    ge_oracle: int = ge.MISSED_VERTICES_LIMIT   # all maximum matchings
+    supermod_pairs: int = 10_000                # theorem_2_3 comparisons
 
 
 DEFAULT_LIMITS = Limits()
@@ -127,17 +126,6 @@ class GraphContext:
 # Checks
 # ---------------------------------------------------------------------------
 
-_SUPERMOD_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _supermod_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _SUPERMOD_TABLES:
-        idx = np.arange(1 << n)
-        _SUPERMOD_TABLES[n] = (idx[:, None] | idx[None, :],
-                               idx[:, None] & idx[None, :])
-    return _SUPERMOD_TABLES[n]
-
-
 def check_dc_oracle_agreement(ctx: GraphContext):
     if ctx.dtab is None:
         return None
@@ -173,7 +161,6 @@ def check_theorem_2_1(ctx: GraphContext):
     """Matching from N(S) into S for every critical independent set S."""
     if ctx.critical_independent_sets is None:
         return None
-    from .graphs import neighborhood
     for s in ctx.critical_independent_sets:
         if mt.matching_from_into(ctx.g, neighborhood(ctx.g, s), s) is None:
             return False
@@ -193,16 +180,38 @@ def check_theorem_2_2(ctx: GraphContext):
 
 
 def check_supermodularity(ctx: GraphContext):
-    if ctx.dtab is None:
+    """d is supermodular: d(X | Y) + d(X & Y) >= d(X) + d(Y).
+
+    On the subset lattice the all-pairs inequality is equivalent to its
+    local form d(X+i) + d(X+j) <= d(X+i+j) + d(X) for every X and every
+    pair i < j outside X, which takes C(n,2) * 2^(n-2) comparisons.  The
+    local form is checked exhaustively when that count is within
+    limits.supermod_pairs; otherwise that many random pairs (X, Y) of the
+    all-pairs form are checked.
+    """
+    d = ctx.dtab
+    if d is None:
         return None
-    d = np.asarray(ctx.dtab)
-    if ctx.g.n <= 6:
-        union, inter = _supermod_tables(ctx.g.n)
-        return bool((d[union] + d[inter] >= d[:, None] + d[None, :]).all())
-    rng = np.random.default_rng(ctx.seed)
-    xs = rng.integers(0, len(d), ctx.limits.supermod_pairs)
-    ys = rng.integers(0, len(d), ctx.limits.supermod_pairs)
-    return bool((d[xs | ys] + d[xs & ys] >= d[xs] + d[ys]).all())
+    n = ctx.g.n
+    pairs = ctx.limits.supermod_pairs
+    if n < 2 or comb(n, 2) << (n - 2) <= pairs:
+        singles = [1 << i for i in range(n)]
+        for x in range(1 << n):
+            dx = d[x]
+            free = [b for b in singles if not x & b]
+            for a, bi in enumerate(free):
+                xi = x | bi
+                dxi = d[xi] - dx
+                for bj in free[a + 1:]:
+                    if dxi + d[x | bj] > d[xi | bj]:
+                        return False
+        return True
+    draw = random.Random(ctx.seed).getrandbits
+    for _ in range(pairs):
+        x, y = draw(n), draw(n)
+        if d[x] + d[y] > d[x | y] + d[x & y]:
+            return False
+    return True
 
 
 def check_bipartite_ker_equals_core(ctx: GraphContext):
@@ -344,9 +353,19 @@ def check_lemma_3_1(ctx: GraphContext):
 
 
 def check_theorem_3_2(ctx: GraphContext):
-    if ctx.dtab is None:
+    """diadem lies inside X + N(X) - N(ker) for every inclusion-maximal
+    critical independent set X."""
+    cis = ctx.critical_independent_sets
+    if cis is None:
         return None
-    return cr.check_theorem_32(ctx.g, ctx.limits.enumeration)
+    g = ctx.g
+    nker = neighborhood(g, ctx.ker)
+    for x in cis:
+        if any(x < t for t in cis):
+            continue
+        if not ctx.diadem <= (x | neighborhood(g, x)) - nker:
+            return False
+    return True
 
 
 def check_ker_diadem_inequality(ctx: GraphContext):
@@ -356,7 +375,6 @@ def check_ker_diadem_inequality(ctx: GraphContext):
 
 
 def check_diadem_avoids_ker_neighborhood(ctx: GraphContext):
-    from .graphs import neighborhood
     return not (ctx.diadem & neighborhood(ctx.g, ctx.ker))
 
 
@@ -455,13 +473,18 @@ def check_red_black_matching(ctx: GraphContext):
 
 
 def check_black_is_critical(ctx: GraphContext):
+    """black is independent, contains ker, and is critical: there is a
+    matching from N(black) into black and d(black) = d_c."""
     cu = ctx.colored
     if cu is None:
         return None
     g = cu.graph
-    if not cr.is_critical_by_matching(g, cu.black):
+    black = cu.black
+    if not ind.is_independent(g, black) or not ctx.ker <= black:
         return False
-    return g.difference_mask(g.mask_of(cu.black)) == ctx.dc
+    if mt.matching_from_into(g, neighborhood(g, black), black) is None:
+        return False
+    return g.difference_mask(g.mask_of(black)) == ctx.dc
 
 
 def check_core_in_black(ctx: GraphContext):
@@ -530,7 +553,17 @@ def check_lemma_5_4(ctx: GraphContext):
 
 
 def check_corollary_5_6(ctx: GraphContext):
-    return ge.check_corollary_56(ctx.g, ctx.limits.enumeration)
+    """ker lies inside the singleton components of G[D]; every critical
+    independent set lies inside C plus those singletons (checked when the
+    critical independent sets are enumerated)."""
+    p = ge.gallai_edmonds(ctx.g)
+    singles = p.singleton_union()
+    if not ctx.ker <= singles:
+        return False
+    if ctx.critical_independent_sets is None:
+        return True
+    allowed = p.c_set | singles
+    return all(s <= allowed for s in ctx.critical_independent_sets)
 
 
 CHECKS = {

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
 from critindep import BuildScript, Graph
+from critindep.verification import GraphContext, run_graph_checks
 
 
 def cycle(n: int) -> Graph:
@@ -70,3 +73,15 @@ def figure2_script() -> BuildScript:
         ("p2", 9),    # adds 17 (red), 18 (black)
         ("p2", 3),    # adds 19 (red), 20 (black)
     ))
+
+
+def coloring_from_json(text: str) -> dict:
+    """Parse a coloring as written by ColoredUnicyclic.coloring_json."""
+    data = json.loads(text)
+    return {key: sorted(data[key]) if key != "cycle" else list(data[key])
+            for key in ("blue", "red", "black", "cycle")}
+
+
+def run_check(ctx: GraphContext, check_id: str) -> str:
+    """Status of one registry check: "pass", "fail" or "skipped"."""
+    return run_graph_checks(ctx, [check_id])[check_id]

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import critindep
 from critindep import generate, to_edge_list, to_graph6
 from critindep.cli import main
 
@@ -87,6 +92,17 @@ class TestAnalyze:
         _, report = run_json(
             capsys, ["analyze", c5_file, "--json", "--no-timestamp"])
         assert "critical.minimal_positive_sets" in report["skipped"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{}"],
+        ["verify", "--family", "exhaustive-labeled", "--max-n", "2"],
+    ], ids=["analyze", "verify"])
+    def test_non_integer_env_limit_exits_2(self, capsys, c5_file,
+                                           monkeypatch, argv):
+        monkeypatch.setenv("CRITINDEP_ALPHA_LIMIT", "lots")
+        assert main([arg.format(c5_file) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: CRITINDEP_ALPHA_LIMIT")
 
     def test_unicyclic_block_for_nonke_graph(self, capsys, tmp_path):
         cu = generate(figure2_script())
@@ -206,3 +222,23 @@ class TestHx:
 
     def test_dependent_set_exits_2(self, capsys, star_file):
         assert main(["hx", star_file, "--set", "0,1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{}"], ["recognize", "{}"], ["hx", "{}", "--set", "0"],
+    ["generate", "--script", "{}"],
+], ids=["analyze", "recognize", "hx", "generate"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_exits_2(capsys, tmp_path, argv, kind):
+    path = str(tmp_path / "absent.txt" if kind == "missing" else tmp_path)
+    assert main([arg.format(path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, critindep.cli; print('numpy' in sys.modules)"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(critindep.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

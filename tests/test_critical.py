@@ -5,22 +5,34 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from critindep import (Graph, PreconditionError, build_hx, critical_difference,
-                       critical_difference_oracle, critical_profile,
-                       decompose_minimal, diadem, diadem_oracle, difference,
-                       enumerate_critical_sets, enumerate_minimal_positive_sets,
-                       is_critical_by_matching, is_independent, ker,
+from critindep import (ColoredUnicyclic, Graph, PreconditionError, build_hx,
+                       critical_difference, critical_difference_oracle,
+                       critical_profile, decompose_minimal, diadem,
+                       diadem_oracle, difference, enumerate_critical_sets,
+                       enumerate_minimal_positive_sets, is_independent, ker,
                        min_cardinality_positive_subset, union_is_minimal_union,
                        verify_hx_ker)
-from critindep.critical import check_lemma_31, check_theorem_32
+from critindep.critical import check_lemma_31
+from critindep.verification import GraphContext
 
-from common import (cycle, empty, figure1_graph, path, star, witness_graph)
+from common import (cycle, empty, figure1_graph, path, run_check, star,
+                    witness_graph)
 from conftest import graphs
 
 
 def isolated_plus_edge() -> Graph:
     return Graph.build(3, [(1, 2)])
+
+
+def black_context(g: Graph, black) -> GraphContext:
+    """A context whose coloring carries only a black set, which is all
+    that theorem_4_14 reads from it."""
+    colored = ColoredUnicyclic(graph=g, cycle=(), blue=frozenset(),
+                               red=frozenset(), black=frozenset(black),
+                               parent={})
+    return GraphContext(g, colored=colored)
 
 
 class TestCriticalDifference:
@@ -245,12 +257,16 @@ class TestConverseAndCriticality:
         assert not union_is_minimal_union(star(3), [1])
         assert not union_is_minimal_union(cycle(5), [0, 2])
 
-    def test_is_critical_by_matching_star(self):
-        assert is_critical_by_matching(star(3), [1, 2, 3])
+    def test_theorem_4_14_star(self):
+        ctx = black_context(star(3), [1, 2, 3])
+        assert run_check(ctx, "theorem_4_14") == "pass"
 
-    def test_is_critical_requires_ker_subset(self):
-        with pytest.raises(PreconditionError):
-            is_critical_by_matching(star(3), [1, 2])
+    def test_theorem_4_14_fails_without_ker(self):
+        ctx = black_context(star(3), [1, 2])
+        assert run_check(ctx, "theorem_4_14") == "fail"
+        ctx = black_context(star(3), [1, 2, 3])
+        ctx.ker = frozenset({0})
+        assert run_check(ctx, "theorem_4_14") == "fail"
 
     def test_lemma_31_p4(self):
         assert check_lemma_31(path(4), [0, 2], [1, 3])
@@ -260,9 +276,46 @@ class TestConverseAndCriticality:
             check_lemma_31(star(3), [1, 2], [1, 3])
 
     def test_theorem_32_examples(self):
-        assert check_theorem_32(star(3))
-        assert check_theorem_32(cycle(5))
-        assert check_theorem_32(path(4))
+        for g in (star(3), cycle(5), path(4)):
+            assert run_check(GraphContext(g), "theorem_3_2") == "pass"
+
+    def test_theorem_32_reads_context_diadem(self):
+        ctx = GraphContext(star(3))
+        ctx.diadem = frozenset({0, 1, 2, 3})
+        assert run_check(ctx, "theorem_3_2") == "fail"
+
+
+class TestSupermodularity:
+    """theorem_2_3 checks the local form exhaustively up to n = 9 and
+    samples pairs of subsets from n = 10 on."""
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_tampered_table_fails(self, n):
+        ctx = GraphContext(empty(n))
+        assert run_check(ctx, "theorem_2_3") == "pass"
+        # d(X) = |X| is modular; lifting one layer breaks supermodularity
+        ctx.dtab = [d + (x.bit_count() == n // 2)
+                    for x, d in enumerate(ctx.dtab)]
+        assert run_check(ctx, "theorem_2_3") == "fail"
+
+    def test_exhaustive_branch_finds_one_bad_entry(self):
+        ctx = GraphContext(path(9))
+        ctx.dtab = list(ctx.dtab)
+        ctx.dtab[0b101000110] += 1
+        assert run_check(ctx, "theorem_2_3") == "fail"
+
+    @settings(max_examples=150)
+    @given(g=graphs(max_n=5), data=st.data())
+    def test_agrees_with_all_pairs(self, g, data):
+        ctx = GraphContext(g)
+        d = list(ctx.dtab)
+        x = data.draw(st.integers(0, len(d) - 1))
+        d[x] += data.draw(st.integers(-1, 1))
+        ctx.dtab = d
+        everywhere = all(d[a | b] + d[a & b] >= d[a] + d[b]
+                         for a in range(len(d)) for b in range(len(d)))
+        assert run_check(ctx, "theorem_2_3") == ("pass" if everywhere
+                                                  else "fail")
 
 
 class TestProfile:

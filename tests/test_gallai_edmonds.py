@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from critindep import (Graph, LimitExceededError, PreconditionError,
-                       check_corollary_56, check_lemma_54, check_theorem_53,
-                       ker)
+                       check_lemma_54, check_theorem_53, ker)
 from critindep.gallai_edmonds import gallai_edmonds, missed_vertices_oracle
+from critindep.verification import GraphContext
 
-from common import cycle, empty, path, star
+from common import cycle, empty, path, run_check, star
 from conftest import graphs
 
 
@@ -111,18 +111,23 @@ class TestLemma54:
 
 class TestCorollary56:
     def test_p3(self):
-        assert check_corollary_56(path(3))
+        assert run_check(GraphContext(path(3)), "corollary_5_6") == "pass"
 
     def test_c5(self):
-        assert check_corollary_56(cycle(5))
+        assert run_check(GraphContext(cycle(5)), "corollary_5_6") == "pass"
 
     def test_star(self):
         g = star(3)
         p = gallai_edmonds(g)
         assert ker(g) <= p.singleton_union()
-        assert check_corollary_56(g)
+        assert run_check(GraphContext(g), "corollary_5_6") == "pass"
+
+    def test_reads_context_ker(self):
+        ctx = GraphContext(star(3))
+        ctx.ker = frozenset({0})
+        assert run_check(ctx, "corollary_5_6") == "fail"
 
     @settings(max_examples=150)
     @given(g=graphs(max_n=8))
     def test_holds_on_random_graphs(self, g):
-        assert check_corollary_56(g)
+        assert run_check(GraphContext(g), "corollary_5_6") == "pass"

@@ -11,9 +11,8 @@ from critindep import (BuildScript, Graph, NotUnicyclicError,
                        critical_difference, disconnected_invariants, generate,
                        generate_random, is_ke, mu, parse_script, recognize,
                        script_to_text)
-from critindep.unicyclic import coloring_from_json, validate_script
-
-from common import c3_with_pendant, cycle, figure2_script, path
+from common import (c3_with_pendant, coloring_from_json, cycle,
+                    figure2_script, path)
 
 
 class TestGenerate:
@@ -170,10 +169,6 @@ class TestScriptFormat:
     def test_even_cycle_rejected(self):
         with pytest.raises(ScriptError):
             parse_script("cycle 4\n")
-
-    def test_validate_script_delegates(self):
-        with pytest.raises(ScriptError):
-            validate_script(BuildScript(3, (("leaf", 0),)))
 
     def test_coloring_json_round_trip(self):
         cu = generate(figure2_script())
