@@ -28,23 +28,41 @@ EXIT_PARSE = 2
 EXIT_LIMIT = 3
 
 
+# The largest enumeration or omega limit a user may set: both size
+# exhaustive work over all 2^n subsets (a 2^n-entry difference table, the
+# maximum-independent-set enumeration), which stays feasible up to n = 20.
+LIMIT_CEILING = 20
+
+
 def _limits_from(args) -> Limits:
     """Limits from the flags, else the CRITINDEP_*_LIMIT variables, else
-    the defaults.  A non-integer variable raises ValueError."""
+    the defaults.  A non-integer or negative value, or an enumeration or
+    omega limit above LIMIT_CEILING, raises ValueError."""
     overrides = {}
-    for field, flag_value, env_key in (
-            ("enumeration", args.enum_limit, "CRITINDEP_ENUM_LIMIT"),
-            ("omega", args.omega_limit, "CRITINDEP_OMEGA_LIMIT"),
-            ("alpha_exact", args.alpha_limit, "CRITINDEP_ALPHA_LIMIT")):
+    for field, flag, flag_value, env_key in (
+            ("enumeration", "--enum-limit", args.enum_limit,
+             "CRITINDEP_ENUM_LIMIT"),
+            ("omega", "--omega-limit", args.omega_limit,
+             "CRITINDEP_OMEGA_LIMIT"),
+            ("alpha_exact", "--alpha-limit", args.alpha_limit,
+             "CRITINDEP_ALPHA_LIMIT")):
         if flag_value is not None:
-            overrides[field] = flag_value
+            source, value = flag, flag_value
         elif env_key in os.environ:
             raw = os.environ[env_key]
             try:
-                overrides[field] = int(raw)
+                source, value = env_key, int(raw)
             except ValueError:
                 raise ValueError(
                     f"{env_key} must be an integer, got {raw!r}") from None
+        else:
+            continue
+        if value < 0:
+            raise ValueError(f"{source} must be non-negative, got {value}")
+        if field != "alpha_exact" and value > LIMIT_CEILING:
+            raise ValueError(
+                f"{source} must be at most {LIMIT_CEILING}, got {value}")
+        overrides[field] = value
     return dataclasses.replace(Limits(), **overrides)
 
 
@@ -103,9 +121,13 @@ def cmd_generate(args) -> int:
     g6 = to_graph6(cu.graph)
     colors = cu.coloring_json()
     if args.out:
-        Path(args.out + ".g6").write_text(g6 + "\n")
-        Path(args.out + ".colors.json").write_text(colors + "\n")
-        Path(args.out + ".script").write_text(uc.script_to_text(script))
+        try:
+            Path(args.out + ".g6").write_text(g6 + "\n")
+            Path(args.out + ".colors.json").write_text(colors + "\n")
+            Path(args.out + ".script").write_text(uc.script_to_text(script))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         print(f"wrote {args.out}.g6, {args.out}.colors.json, "
               f"{args.out}.script")
     else:
@@ -173,9 +195,13 @@ def cmd_verify(args) -> int:
                   f"skipped={c['skipped']}")
     if result.certificates:
         cert_path = args.cert or "failures.cert"
-        with open(cert_path, "w") as fh:
-            for g6, cid in result.certificates:
-                fh.write(f"{g6} {cid}\n")
+        try:
+            with open(cert_path, "w") as fh:
+                for g6, cid in result.certificates:
+                    fh.write(f"{g6} {cid}\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         print(f"certificates written to {cert_path}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK

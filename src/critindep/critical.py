@@ -8,6 +8,11 @@ Polynomial routes:
   * ker via per-vertex deletion (v is in ker iff d_c drops by one),
   * diadem membership via 1 - deg(v) + d_c(G - N[v]) = d_c(G).
 
+One maximum matching of the double cover is computed per graph and kept
+in a small cache; each d_c(G - S) that ker and diadem ask for repairs a
+copy of it (the pairs at the deleted copies are dropped and Hopcroft-Karp
+resumes) instead of building G - S and matching it from scratch.
+
 Each polynomial route has an exhaustive-subset oracle beside it; the test
 suite holds them against each other on every corpus graph.
 """
@@ -16,11 +21,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import LimitExceededError, PreconditionError
-from .graphs import (Graph, VertexSet, bits, delete_vertices, neighborhood,
-                     set_of)
+from .graphs import Graph, VertexSet, bits, neighborhood, set_of
 from .independence import is_independent
 from .matching import _hopcroft_karp
 
@@ -32,24 +37,55 @@ SUBSET_SEARCH_LIMIT = 25
 # Critical difference
 # ---------------------------------------------------------------------------
 
-def critical_difference(g: Graph) -> int:
-    """d_c(g) = max d(X) over all X, computed as n - mu(double cover).
+@lru_cache(maxsize=4)
+def _double_cover(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Adjacency lists of the double cover of g, one maximum matching of it
+    and d_c(g), shared by every `critical_difference` call on g.
 
-    The double cover puts a left and a right copy of every vertex and joins
-    (u, left)-(v, right) for each edge uv; by Koenig's theorem its matching
-    deficiency on one side equals the maximum difference.
+    The cover has a left copy u and a right copy u + n of every vertex u,
+    and joins u to v + n and v to u + n for each edge uv.
     """
     n = g.n
-    size = 2 * n
-    adj: list[list[int]] = [[] for _ in range(size)]
+    adj: list[list[int]] = [[] for _ in range(2 * n)]
     for u, v in g.edges:
         adj[u].append(v + n)
         adj[v + n].append(u)
         adj[v].append(u + n)
         adj[u + n].append(v)
-    match = _hopcroft_karp(size, adj, list(range(n)))
-    matched = sum(1 for u in range(n) if match[u] != -1)
-    return n - matched
+    match = _hopcroft_karp(2 * n, adj, list(range(n)))
+    return adj, tuple(match), sum(1 for u in range(n) if match[u] == -1)
+
+
+def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
+    """d_c(g - removed) = max d(X) over the subsets X of g - removed,
+    computed as the number of vertices minus the matching number of the
+    double cover.
+
+    By Koenig's theorem the cover's matching deficiency on one side
+    equals the maximum difference.  The cover's maximum matching is
+    computed once per graph; for a deletion it is repaired by dropping the
+    pairs at the deleted copies and resuming Hopcroft-Karp.
+    """
+    adj, base, dc = _double_cover(g)
+    gone = g.mask_of(removed)
+    if not gone:
+        return dc
+    n = g.n
+    match = list(base)
+    for s in bits(gone):
+        for copy in (s, s + n):
+            if match[copy] != -1:
+                match[match[copy]] = -1
+        # Park each deleted left copy on its own right copy and leave it
+        # out of `left`.  Its dist then stays 0, never INF nor the dist of
+        # a searched vertex plus one, so Hopcroft-Karp neither scans its
+        # edges nor enters the deleted right copy: the search sees the
+        # double cover of g - removed without rebuilding the adjacency.
+        match[s] = s + n
+        match[s + n] = s
+    left = [u for u in range(n) if not gone >> u & 1]
+    _hopcroft_karp(2 * n, adj, left, match)
+    return sum(1 for u in left if match[u] == -1)
 
 
 def difference_table(g: Graph, limit: int = ENUMERATION_LIMIT) -> list[int]:
@@ -73,9 +109,13 @@ def critical_difference_oracle(g: Graph, limit: int = ENUMERATION_LIMIT) -> int:
 
 
 def enumerate_critical_sets(g: Graph, independent_only: bool = False,
-                            limit: int = ENUMERATION_LIMIT) -> list[VertexSet]:
-    """All subsets attaining the critical difference, deterministic order."""
-    dtab = difference_table(g, limit)
+                            limit: int = ENUMERATION_LIMIT,
+                            dtab: list[int] | None = None) -> list[VertexSet]:
+    """All subsets attaining the critical difference, deterministic order.
+
+    `dtab` is g's difference table when the caller already holds it."""
+    if dtab is None:
+        dtab = difference_table(g, limit)
     dc = max(dtab)
     out = []
     for mask in range(len(dtab)):
@@ -97,8 +137,7 @@ def ker(g: Graph) -> VertexSet:
     dc = critical_difference(g)
     members = []
     for v in range(g.n):
-        h, _ = delete_vertices(g, [v])
-        if critical_difference(h) == dc - 1:
+        if critical_difference(g, [v]) == dc - 1:
             members.append(v)
     return frozenset(members)
 
@@ -113,9 +152,8 @@ def diadem(g: Graph) -> VertexSet:
     dc = critical_difference(g)
     members = []
     for v in range(g.n):
-        closed = frozenset(bits(g.adj[v])) | {v}
-        h, _ = delete_vertices(g, closed)
-        if 1 - g.degree(v) + critical_difference(h) == dc:
+        closed = bits(g.adj[v] | 1 << v)
+        if 1 - g.degree(v) + critical_difference(g, closed) == dc:
             members.append(v)
     return frozenset(members)
 
@@ -132,14 +170,17 @@ def diadem_oracle(g: Graph, limit: int = ENUMERATION_LIMIT) -> VertexSet:
 # ---------------------------------------------------------------------------
 
 def enumerate_minimal_positive_sets(
-        g: Graph, limit: int = ENUMERATION_LIMIT) -> list[VertexSet]:
+        g: Graph, limit: int = ENUMERATION_LIMIT,
+        dtab: list[int] | None = None) -> list[VertexSet]:
     """All inclusion-minimal sets with positive difference.
 
     Minimality is certified against every proper subset (single-vertex
     removals alone are not sufficient), via an any-positive-subset DP over
-    the subset lattice.
+    the subset lattice.  `dtab` is g's difference table when the caller
+    already holds it.
     """
-    dtab = difference_table(g, limit)
+    if dtab is None:
+        dtab = difference_table(g, limit)
     size = len(dtab)
     anypos = bytearray(size)
     out = []
@@ -355,16 +396,17 @@ class CriticalProfile:
 def critical_profile(g: Graph,
                      limit: int = ENUMERATION_LIMIT) -> CriticalProfile:
     """d_c, ker and diadem always; exhaustive enumerations when n permits."""
-    within = g.n <= limit
+    dtab = difference_table(g, limit) if g.n <= limit else None
     return CriticalProfile(
         d_c=critical_difference(g),
         ker=ker(g),
         diadem=diadem(g),
-        critical_sets=tuple(enumerate_critical_sets(g, limit=limit))
-        if within else None,
+        critical_sets=tuple(enumerate_critical_sets(g, dtab=dtab))
+        if dtab is not None else None,
         critical_independent_sets=tuple(
-            enumerate_critical_sets(g, independent_only=True, limit=limit))
-        if within else None,
-        minimal_positive_sets=tuple(enumerate_minimal_positive_sets(g, limit))
-        if within else None,
+            enumerate_critical_sets(g, independent_only=True, dtab=dtab))
+        if dtab is not None else None,
+        minimal_positive_sets=tuple(
+            enumerate_minimal_positive_sets(g, dtab=dtab))
+        if dtab is not None else None,
     )

@@ -1,9 +1,11 @@
 """The classical matching-structure partition (D, A, C) and the structural
 checks of its clauses.
 
-D is computed by n extra matching calls (v is in D iff deleting v does not
-lower the matching number) so that the partition's correctness does not
-depend on the internals of the blossom implementation.
+D is computed from its definition, one matching number per vertex (v is
+in D iff deleting v does not lower the matching number), not read off the
+final blossom forest.  Each of these n numbers repairs the one maximum
+matching `mu` caches for the graph: the removed vertex's matching edge is
+dropped and the blossom search runs from its former mate.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import LimitExceededError, PreconditionError
-from .graphs import (Graph, VertexSet, connected_components, delete_vertices,
+from .graphs import (Graph, VertexSet, connected_components,
                      induced_subgraph, neighborhood)
 # ker stays bound here: perfbench/test_perfbench.py checks that the tracer
 # rebinds and restores it in this namespace.
@@ -44,8 +46,7 @@ def gallai_edmonds(g: Graph) -> GallaiEdmondsPartition:
     base = mu(g)
     d_members = []
     for v in range(g.n):
-        h, _ = delete_vertices(g, [v])
-        if mu(h) == base:
+        if mu(g, [v]) == base:
             d_members.append(v)
     d_set = frozenset(d_members)
     a_set = neighborhood(g, d_set) - d_set

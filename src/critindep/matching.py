@@ -61,10 +61,19 @@ def max_matching_bipartite(g: Graph, left: Iterable[int],
     return _matching_from_array(match)
 
 
-def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]) -> list[int]:
-    """Match array over all n vertices; -1 means unmatched."""
+def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int],
+                   match: list[int] | None = None) -> list[int]:
+    """Match array over all n vertices; -1 means unmatched.
+
+    With `match` given, that matching is augmented in place to a maximum
+    one instead of starting from the empty matching.  Only the vertices
+    listed in `left` are searched from; a right vertex is entered only
+    through its mate's `dist`, which the search sets for listed left
+    vertices alone.
+    """
     INF = n + 1
-    match = [-1] * n
+    if match is None:
+        match = [-1] * n
     dist = [0] * n
     while True:
         queue = deque()
@@ -103,19 +112,16 @@ def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]) -> list[int]:
     return match
 
 
-def max_matching_general(g: Graph) -> Matching:
-    """Maximum matching of an arbitrary graph via blossom contraction."""
-    n = g.n
-    adj = [list(bits(g.adj[v])) for v in range(n)]
-    match = [-1] * n
-    # Greedy warm start.
-    for u in range(n):
-        if match[u] == -1:
-            for v in adj[u]:
-                if match[v] == -1:
-                    match[u] = v
-                    match[v] = u
-                    break
+def _blossom(n: int, adj: list[list[int]], match: list[int],
+             roots: Iterable[int]) -> int:
+    """Augment `match` in place by one blossom-contraction search from each
+    root that is still exposed when its turn comes; return the number of
+    augmentations.
+
+    A single pass over the exposed vertices yields a maximum matching: a
+    vertex with no augmenting path keeps having none after augmentations
+    elsewhere (Edmonds), and a matched vertex stays matched.
+    """
     p = [-1] * n
     base = list(range(n))
 
@@ -180,15 +186,83 @@ def max_matching_general(g: Graph) -> Matching:
                         queue.append(match[to])
         return False
 
-    for v in range(n):
-        if match[v] == -1:
-            find_path(v)
-    return _matching_from_array(match)
+    augmented = 0
+    for v in roots:
+        if match[v] == -1 and find_path(v):
+            augmented += 1
+    return augmented
 
 
-def mu(g: Graph) -> int:
-    """Matching number of g."""
-    return max_matching_general(g).size
+def _maximum_match(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """Adjacency lists of g and the match array of a maximum matching:
+    greedy warm start, then one blossom pass over every vertex."""
+    n = g.n
+    adj = [list(bits(g.adj[v])) for v in range(n)]
+    match = [-1] * n
+    for u in range(n):
+        if match[u] == -1:
+            for v in adj[u]:
+                if match[v] == -1:
+                    match[u] = v
+                    match[v] = u
+                    break
+    _blossom(n, adj, match, range(n))
+    return adj, match
+
+
+def max_matching_general(g: Graph) -> Matching:
+    """Maximum matching of an arbitrary graph via blossom contraction."""
+    return _matching_from_array(_maximum_match(g)[1])
+
+
+@lru_cache(maxsize=4)
+def _base_matching(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Adjacency lists, one maximum matching and its size, shared by every
+    `mu` call on g.  The lists are shared too: callers copy before they
+    change anything."""
+    adj, match = _maximum_match(g)
+    return adj, tuple(match), sum(1 for v in match if v != -1) // 2
+
+
+def mu(g: Graph, removed: Iterable[int] = ()) -> int:
+    """Matching number of g - removed.
+
+    The maximum matching of g is computed once per graph and repaired: the
+    edges at removed vertices are dropped, the removed vertices are cut
+    out of their neighbours' adjacency lists, and the blossom search runs
+    from the vertices that lost their mates.  If no augmenting path found
+    there joins two such vertices, the repaired matching is maximum: an
+    augmenting path left between two other exposed vertices, with the
+    untouched edges of the old matching at the removed vertices, would
+    give g a matching larger than its maximum.  Otherwise the search
+    finishes the single pass over the remaining exposed vertices.
+    """
+    adj, base, size = _base_matching(g)
+    gone = g.mask_of(removed)
+    if not gone:
+        return size
+    n = g.n
+    match = list(base)
+    adj = list(adj)
+    freed = []
+    for s in bits(gone):
+        mate = match[s]
+        if mate != -1:
+            match[s] = match[mate] = -1
+            size -= 1
+            if not gone >> mate & 1:
+                freed.append(mate)
+        adj[s] = []
+    for w in bits(g.neighborhood_mask(gone) & ~gone):
+        adj[w] = [x for x in adj[w] if not gone >> x & 1]
+    found = _blossom(n, adj, match, freed)
+    # More freed vertices matched than paths found: some path ended at a
+    # second freed vertex.
+    if sum(1 for u in freed if match[u] != -1) > found:
+        skip = gone | g.mask_of(freed)
+        found += _blossom(n, adj, match,
+                          [v for v in range(n) if not skip >> v & 1])
+    return size + found
 
 
 def max_matching_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> int:
@@ -251,10 +325,5 @@ def is_factor_critical(g: Graph) -> bool:
     """True iff deleting any single vertex leaves a perfect matching."""
     if g.n % 2 == 0:
         return g.n == 0
-    from .graphs import delete_vertices
-
-    for v in range(g.n):
-        h, _ = delete_vertices(g, [v])
-        if not has_perfect_matching(h):
-            return False
-    return True
+    half = g.n // 2
+    return all(mu(g, [v]) == half for v in range(g.n))

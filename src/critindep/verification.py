@@ -71,21 +71,20 @@ class GraphContext:
     def critical_sets(self):
         if self.dtab is None:
             return None
-        return cr.enumerate_critical_sets(self.g, limit=self.limits.enumeration)
+        return cr.enumerate_critical_sets(self.g, dtab=self.dtab)
 
     @cached_property
     def critical_independent_sets(self):
         if self.dtab is None:
             return None
         return cr.enumerate_critical_sets(self.g, independent_only=True,
-                                          limit=self.limits.enumeration)
+                                          dtab=self.dtab)
 
     @cached_property
     def minimal_positive_sets(self):
         if self.dtab is None:
             return None
-        return cr.enumerate_minimal_positive_sets(self.g,
-                                                  self.limits.enumeration)
+        return cr.enumerate_minimal_positive_sets(self.g, dtab=self.dtab)
 
     @cached_property
     def alpha(self) -> int | None:

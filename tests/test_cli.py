@@ -12,7 +12,7 @@ import pytest
 
 import critindep
 from critindep import generate, to_edge_list, to_graph6
-from critindep.cli import main
+from critindep.cli import LIMIT_CEILING, main
 
 from common import c3_with_pendant, complete, cycle, figure2_script, star
 
@@ -104,6 +104,35 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: CRITINDEP_ALPHA_LIMIT")
 
+    @pytest.mark.parametrize("limit, value", [
+        ("enum", LIMIT_CEILING + 1), ("omega", LIMIT_CEILING + 1),
+        ("enum", -1), ("omega", -1), ("alpha", -1),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_out_of_range_limit_exits_2(self, capsys, c5_file, monkeypatch,
+                                        limit, value, via):
+        argv = ["analyze", c5_file]
+        if via == "flag":
+            argv.append(f"--{limit}-limit={value}")
+        else:
+            monkeypatch.setenv(f"CRITINDEP_{limit.upper()}_LIMIT", str(value))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_limit_at_ceiling_is_accepted(self, capsys, c5_file, monkeypatch,
+                                          via):
+        argv = ["analyze", c5_file, "--json", "--no-timestamp"]
+        if via == "flag":
+            argv.append(f"--enum-limit={LIMIT_CEILING}")
+        else:
+            monkeypatch.setenv("CRITINDEP_ENUM_LIMIT", str(LIMIT_CEILING))
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["critical"]["minimal_positive_count"] == 0
+
     def test_unicyclic_block_for_nonke_graph(self, capsys, tmp_path):
         cu = generate(figure2_script())
         target = tmp_path / "fig2.g6"
@@ -142,6 +171,11 @@ class TestGenerate:
         script.write_text("cycle 3\nleaf 0\n")
         assert main(["generate", "--script", str(script)]) == 2
         assert "not red" in capsys.readouterr().err
+
+    def test_unwritable_out_prefix_exits_2(self, capsys, tmp_path):
+        prefix = str(tmp_path / "absent" / "x")
+        assert main(["generate", "--random", "5,1,1", "--out", prefix]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_random_mode_is_seeded(self, capsys):
         assert main(["generate", "--random", "5,2,1", "--seed", "9"]) == 0
@@ -197,6 +231,14 @@ class TestVerify:
         graph6, check_id = lines[0].split()
         assert check_id == "conjecture_1_1"
         assert graph6
+
+    def test_unwritable_cert_exits_2(self, capsys, tmp_path):
+        cert = tmp_path / "absent" / "failures.cert"
+        code = main(["verify", "--family", "exhaustive-labeled",
+                     "--max-n", "2", "--inject-failure",
+                     "--cert", str(cert), "--json", "--no-timestamp"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_check_exits_2(self, capsys):
         code = main(["verify", "--family", "random-gnp",

@@ -1,0 +1,150 @@
+"""Deletion queries answered by repairing one cached maximum matching.
+
+`critical_difference(g, removed)` and `mu(g, removed)` must agree with the
+same quantity computed from scratch on the graph G - removed, and the
+structures built on them (ker, diadem, the Gallai-Edmonds partition) must
+agree with the deletion route that builds every G - S as a fresh graph.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from critindep import (Graph, critical_difference, critical_difference_oracle,
+                       diadem, is_factor_critical, ker,
+                       max_matching_bruteforce, max_matching_general, mu)
+from critindep.gallai_edmonds import gallai_edmonds
+from critindep.graphs import (bits, delete_vertices, induced_subgraph,
+                              neighborhood)
+
+from common import cycle, path, petersen, star
+from conftest import graphs
+
+
+@st.composite
+def graphs_with_removal(draw, max_n: int = 12):
+    g = draw(graphs(max_n=max_n))
+    removed = draw(st.lists(st.integers(0, max(g.n - 1, 0)), unique=True,
+                            max_size=g.n))
+    return g, removed
+
+
+@settings(max_examples=300)
+@given(case=graphs_with_removal())
+def test_repaired_values_match_the_deleted_graph(case):
+    g, removed = case
+    h, _ = delete_vertices(g, removed)
+    assert critical_difference(g, removed) == critical_difference(h)
+    assert critical_difference(h) == critical_difference_oracle(h)
+    assert mu(g, removed) == mu(h) == max_matching_general(h).size
+    assert mu(h) == max_matching_bruteforce(h)
+
+
+def test_search_joining_two_freed_vertices_needs_the_second_pass():
+    # The cached matching is {0-2, 1-3}.  Deleting 0 and 1 frees 2 and 3,
+    # whose search pairs them with each other; 4-2=3-5 then augments
+    # between two vertices that were exposed all along.
+    g = Graph.build(6, [(0, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
+    assert max_matching_general(g).edges == ((0, 2), (1, 3))
+    assert mu(g, [0, 1]) == 2
+
+
+def _ker_by_deletion(g: Graph) -> frozenset[int]:
+    dc = critical_difference(g)
+    return frozenset(v for v in range(g.n)
+                     if critical_difference(delete_vertices(g, [v])[0])
+                     == dc - 1)
+
+
+def _diadem_by_deletion(g: Graph) -> frozenset[int]:
+    dc = critical_difference(g)
+    members = set()
+    for v in range(g.n):
+        rest, _ = delete_vertices(g, bits(g.adj[v] | 1 << v))
+        if 1 - g.degree(v) + critical_difference(rest) == dc:
+            members.add(v)
+    return frozenset(members)
+
+
+def _d_by_deletion(g: Graph) -> frozenset[int]:
+    base = max_matching_general(g).size
+    return frozenset(v for v in range(g.n)
+                     if max_matching_general(delete_vertices(g, [v])[0]).size
+                     == base)
+
+
+def _factor_critical_by_deletion(g: Graph) -> bool:
+    if g.n % 2 == 0:
+        return g.n == 0
+    return all(max_matching_general(delete_vertices(g, [v])[0]).size
+               == g.n // 2 for v in range(g.n))
+
+
+def test_structures_match_the_deletion_route_on_random_graphs():
+    rng = random.Random(20170111)
+    for n in range(20, 121, 20):
+        for degree in (1.0, 2.5, 4.0):
+            g = Graph.build(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n)
+                                if rng.random() < degree / n])
+            assert ker(g) == _ker_by_deletion(g)
+            assert diadem(g) == _diadem_by_deletion(g)
+            p = gallai_edmonds(g)
+            d_set = _d_by_deletion(g)
+            assert p.d_set == d_set
+            assert p.a_set == neighborhood(g, d_set) - d_set
+            assert p.c_set == frozenset(range(n)) - d_set - p.a_set
+            for comp, flag in p.d_components:
+                sub, _ = induced_subgraph(g, comp)
+                assert flag == _factor_critical_by_deletion(sub)
+
+
+def test_factor_critical_matches_the_deletion_route():
+    rng = random.Random(5)
+    samples = [cycle(7), path(5), star(4), petersen(), Graph.build(1, [])]
+    for _ in range(40):
+        n = rng.choice((5, 7, 9, 11))
+        samples.append(Graph.build(n, [(u, v) for u in range(n)
+                                       for v in range(u + 1, n)
+                                       if rng.random() < 0.5]))
+    for g in samples:
+        assert is_factor_critical(g) == _factor_critical_by_deletion(g)
+
+
+def test_equal_graphs_built_separately_give_equal_answers():
+    edges = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
+    first = Graph.build(7, edges)
+    second = Graph.build(7, list(reversed(edges)))
+    assert first == second and first is not second
+    for v in range(7):
+        assert critical_difference(first, [v]) == critical_difference(
+            second, [v])
+        assert mu(first, [v]) == mu(second, [v])
+    assert ker(first) == ker(second) == frozenset({1, 2})
+
+
+def test_interleaved_graphs_keep_their_own_answers():
+    # More graphs than either cache holds, queried round-robin, so every
+    # entry is evicted and rebuilt while the others are in use.
+    rng = random.Random(3)
+    pool = [Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 0.3])
+            for n in (5, 6, 7, 8, 9, 10, 11, 12)]
+    expected = {}
+    for g in pool:
+        for v in range(g.n):
+            h, _ = delete_vertices(g, [v])
+            expected[g, v] = (critical_difference_oracle(h),
+                              max_matching_bruteforce(h))
+    for _ in range(3):
+        for v in range(12):
+            for g in pool:
+                if v < g.n:
+                    assert (critical_difference(g, [v]),
+                            mu(g, [v])) == expected[g, v]
+    for g in pool:
+        assert critical_difference(g) == critical_difference_oracle(g)
+        assert mu(g) == max_matching_bruteforce(g)
