@@ -8,10 +8,14 @@ Polynomial routes:
   * ker via per-vertex deletion (v is in ker iff d_c drops by one),
   * diadem membership via 1 - deg(v) + d_c(G - N[v]) = d_c(G).
 
-One maximum matching of the double cover is computed per graph and kept
-in a small cache; each d_c(G - S) that ker and diadem ask for repairs a
-copy of it (the pairs at the deleted copies are dropped and Hopcroft-Karp
-resumes) instead of building G - S and matching it from scratch.
+The copy layout and every fresh Hopcroft-Karp run live in
+`matching._match_sides`: the double cover is its matching with both
+sides full, and the best difference inside a set S is |S| minus its
+matching of S into N(S) (Hall's defect formula).  One maximum matching
+of the double cover is computed per graph and kept in a small cache;
+each d_c(G - S) that ker and diadem ask for repairs a copy of it (the
+pairs at the deleted copies are dropped and Hopcroft-Karp resumes)
+instead of building G - S and matching it from scratch.
 
 Each polynomial route has an exhaustive-subset oracle beside it; the test
 suite holds them against each other on every corpus graph.
@@ -27,7 +31,7 @@ from itertools import combinations
 from .errors import LimitExceededError, PreconditionError
 from .graphs import Graph, VertexSet, bits, neighborhood, set_of
 from .independence import is_independent
-from .matching import _hopcroft_karp
+from .matching import _hopcroft_karp, _match_sides
 
 ENUMERATION_LIMIT = 16
 SUBSET_SEARCH_LIMIT = 25
@@ -39,21 +43,15 @@ SUBSET_SEARCH_LIMIT = 25
 
 @lru_cache(maxsize=4)
 def _double_cover(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Adjacency lists of the double cover of g, one maximum matching of it
-    and d_c(g), shared by every `critical_difference` call on g.
+    """Left-copy adjacency lists of the double cover of g, one maximum
+    matching of it and d_c(g), shared by every `critical_difference` call
+    on g.
 
     The cover has a left copy u and a right copy u + n of every vertex u,
     and joins u to v + n and v to u + n for each edge uv.
     """
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
-    for u, v in g.edges:
-        adj[u].append(v + n)
-        adj[v + n].append(u)
-        adj[v].append(u + n)
-        adj[u + n].append(v)
-    match = _hopcroft_karp(2 * n, adj, list(range(n)))
-    return adj, tuple(match), sum(1 for u in range(n) if match[u] == -1)
+    adj, match, _ = _match_sides(g, g.full_mask, g.full_mask)
+    return adj, tuple(match), match[:g.n].count(-1)
 
 
 def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
@@ -84,7 +82,7 @@ def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
         match[s] = s + n
         match[s + n] = s
     left = [u for u in range(n) if not gone >> u & 1]
-    _hopcroft_karp(2 * n, adj, left, match)
+    _hopcroft_karp(2 * n, adj, left, match=match)
     return sum(1 for u in left if match[u] == -1)
 
 
@@ -206,18 +204,8 @@ def enumerate_minimal_positive_sets(
 def max_subset_difference(g: Graph, s: Iterable[int]) -> int:
     """max d(X) over X contained in s (polynomial, via matching deficiency)."""
     smask = g.mask_of(s)
-    svs = sorted(bits(smask))
-    nvs = sorted(bits(g.neighborhood_mask(smask)))
-    nindex = {v: len(svs) + i for i, v in enumerate(nvs)}
-    size = len(svs) + len(nvs)
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for i, u in enumerate(svs):
-        for w in bits(g.adj[u]):
-            adj[i].append(nindex[w])
-            adj[nindex[w]].append(i)
-    match = _hopcroft_karp(size, adj, list(range(len(svs))))
-    matched = sum(1 for i in range(len(svs)) if match[i] != -1)
-    return len(svs) - matched
+    adj, match, _ = _match_sides(g, smask, g.neighborhood_mask(smask))
+    return match[:len(adj)].count(-1)
 
 
 def min_cardinality_positive_subset(g: Graph,
@@ -279,17 +267,17 @@ def build_hx(g: Graph, x: Iterable[int]) -> HXGadget:
 
 
 def _check_strict_subset_differences(g: Graph, xmask: int) -> None:
-    """Require d(Y) < d(X) for every proper subset Y of X."""
+    """Require d(Y) < d(X) for every proper subset Y of X.
+
+    Every proper subset lies in X - v for some v in X, so |X| calls of
+    `max_subset_difference` decide it."""
     dx = g.difference_mask(xmask)
-    sub = (xmask - 1) & xmask
-    while True:
-        if g.difference_mask(sub) >= dx:
+    for v in bits(xmask):
+        best = max_subset_difference(g, bits(xmask & ~(1 << v)))
+        if best >= dx:
             raise PreconditionError(
-                f"proper subset {sorted(bits(sub))} has difference "
-                f"{g.difference_mask(sub)} >= d(x) = {dx}")
-        if sub == 0:
-            break
-        sub = (sub - 1) & xmask
+                f"a subset of x without {v} has difference {best} "
+                f">= d(x) = {dx}")
 
 
 def verify_hx_ker(g: Graph, x: Iterable[int]) -> bool:

@@ -222,6 +222,8 @@ def parse_edge_list(text: str) -> Graph:
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise FormatError("non-integer header", lineno) from None
+            if n < 0:
+                raise FormatError(f"negative vertex count {n}", lineno)
             header = lineno
             continue
         if len(parts) != 2:

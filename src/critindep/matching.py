@@ -1,6 +1,13 @@
 """Maximum matchings: bipartite (layered augmenting paths), general
 (blossom contraction), a brute-force oracle, and matching predicates.
 
+Every bipartite matching built from scratch comes from `_match_sides`:
+it gives each vertex of one side a left copy and each vertex of the
+other a right copy, joins them along the graph's edges and runs
+Hopcroft-Karp.  The double cover, the S-versus-N(S) matchings and the
+matchings between two vertex sets are all such matchings.  The general
+matching of a graph is computed once and cached by `_base_matching`.
+
 Witness matchings are valid and maximum but not canonical; callers must
 assert only size and validity.  Tie-breaking everywhere is lowest-vertex
 first so repeated runs are reproducible.
@@ -41,11 +48,6 @@ class Matching:
         return True
 
 
-def _matching_from_array(match: list[int]) -> Matching:
-    edges = sorted((u, v) for u, v in enumerate(match) if v > u)
-    return Matching(tuple(edges))
-
-
 def max_matching_bipartite(g: Graph, left: Iterable[int],
                            right: Iterable[int]) -> Matching:
     """Maximum matching of a bipartite graph via Hopcroft-Karp."""
@@ -56,9 +58,36 @@ def max_matching_bipartite(g: Graph, left: Iterable[int],
     for u, v in g.edges:
         if bool(lmask >> u & 1) == bool(lmask >> v & 1):
             raise PartitionError(f"edge ({u},{v}) does not cross the partition")
-    match = _hopcroft_karp(g.n, [list(bits(g.adj[v])) for v in range(g.n)],
-                           sorted(bits(lmask)))
-    return _matching_from_array(match)
+    return _matching_of_sides(*_match_sides(g, lmask, rmask))
+
+
+def _match_sides(g: Graph, lmask: int, rmask: int
+                 ) -> tuple[list[list[int]], list[int], list[int]]:
+    """Maximum matching between a left copy of each vertex of lmask and a
+    right copy of each vertex of rmask, joined along g's edges.
+
+    Returns the left copies' adjacency lists, the Hopcroft-Karp match
+    array over all copies and the vertex of g behind each copy.  The left
+    copies come first, in ascending vertex order, then the right copies:
+    with both masks full, vertex u has copies u and u + n, the layout of
+    the double cover.  The masks may overlap.  Only the left copies have
+    adjacency lists, because Hopcroft-Karp scans the edges of left
+    vertices alone.
+    """
+    lvs = list(bits(lmask))
+    rvs = list(bits(rmask))
+    index = {v: len(lvs) + i for i, v in enumerate(rvs)}
+    adj = [[index[w] for w in bits(g.adj[u] & rmask)] for u in lvs]
+    match = _hopcroft_karp(len(lvs) + len(rvs), adj, list(range(len(lvs))))
+    return adj, match, lvs + rvs
+
+
+def _matching_of_sides(adj: list[list[int]], match: list[int],
+                       labels: list[int]) -> Matching:
+    """The matched pairs of a `_match_sides` result, as edges of g."""
+    return Matching(tuple(sorted(
+        tuple(sorted((labels[i], labels[match[i]])))
+        for i in range(len(adj)) if match[i] != -1)))
 
 
 def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int],
@@ -193,9 +222,12 @@ def _blossom(n: int, adj: list[list[int]], match: list[int],
     return augmented
 
 
-def _maximum_match(g: Graph) -> tuple[list[list[int]], list[int]]:
-    """Adjacency lists of g and the match array of a maximum matching:
-    greedy warm start, then one blossom pass over every vertex."""
+@lru_cache(maxsize=4)
+def _base_matching(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Adjacency lists of g, one maximum matching and its size, shared by
+    every `mu` and `max_matching_general` call on g: a greedy warm start,
+    then one blossom pass over every vertex.  The lists are shared too:
+    callers copy before they change anything."""
     n = g.n
     adj = [list(bits(g.adj[v])) for v in range(n)]
     match = [-1] * n
@@ -207,21 +239,13 @@ def _maximum_match(g: Graph) -> tuple[list[list[int]], list[int]]:
                     match[v] = u
                     break
     _blossom(n, adj, match, range(n))
-    return adj, match
+    return adj, tuple(match), sum(1 for v in match if v != -1) // 2
 
 
 def max_matching_general(g: Graph) -> Matching:
     """Maximum matching of an arbitrary graph via blossom contraction."""
-    return _matching_from_array(_maximum_match(g)[1])
-
-
-@lru_cache(maxsize=4)
-def _base_matching(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Adjacency lists, one maximum matching and its size, shared by every
-    `mu` call on g.  The lists are shared too: callers copy before they
-    change anything."""
-    adj, match = _maximum_match(g)
-    return adj, tuple(match), sum(1 for v in match if v != -1) // 2
+    match = _base_matching(g)[1]
+    return Matching(tuple((u, v) for u, v in enumerate(match) if v > u))
 
 
 def mu(g: Graph, removed: Iterable[int] = ()) -> int:
@@ -298,23 +322,13 @@ def matching_from_into(g: Graph, a: Iterable[int],
     bmask = g.mask_of(b)
     if amask & bmask:
         raise PreconditionError("a and b must be disjoint")
-    avs = sorted(bits(amask))
-    bvs = sorted(bits(bmask))
-    aindex = {v: i for i, v in enumerate(avs)}
-    bindex = {v: len(avs) + i for i, v in enumerate(bvs)}
-    size = len(avs) + len(bvs)
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for u in avs:
-        for w in bits(g.adj[u] & bmask):
-            adj[aindex[u]].append(bindex[w])
-            adj[bindex[w]].append(aindex[u])
-    match = _hopcroft_karp(size, adj, list(range(len(avs))))
-    if any(match[i] == -1 for i in range(len(avs))):
+    # Hall's condition fails on a itself: no matching to build.
+    if amask.bit_count() > bmask.bit_count():
         return None
-    labels = avs + bvs
-    edges = sorted(
-        tuple(sorted((labels[i], labels[match[i]]))) for i in range(len(avs)))
-    return Matching(tuple(edges))
+    adj, match, labels = _match_sides(g, amask, bmask)
+    if -1 in match[:len(adj)]:
+        return None
+    return _matching_of_sides(adj, match, labels)
 
 
 def has_perfect_matching(g: Graph) -> bool:

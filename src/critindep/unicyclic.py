@@ -101,6 +101,10 @@ def generate(script: BuildScript) -> ColoredUnicyclic:
 def generate_random(cycle_length: int, n_path2: int, n_leaf: int,
                     seed: int) -> tuple[BuildScript, ColoredUnicyclic]:
     """Seed-deterministic random interleaving of the two attachment steps."""
+    if n_path2 < 0 or n_leaf < 0:
+        raise PreconditionError(
+            f"step counts must be non-negative, got {n_path2} path and "
+            f"{n_leaf} leaf steps")
     if n_leaf >= 1 and n_path2 < 1:
         raise PreconditionError(
             "a leaf step needs a red vertex, so at least one path step "

@@ -23,15 +23,16 @@ from .graphs import (Graph, bits, connected_components, delete_vertices,
                      neighborhood, set_of, to_graph6)
 
 
+# Fixed sizes of single oracle checks; the settable ones are in Limits.
+PAIR_SUBSET_LIMIT = 10      # all-pairs checks over critical sets
+SUPERMOD_PAIRS = 10_000     # theorem_2_3 comparisons
+
+
 @dataclass(frozen=True)
 class Limits:
     enumeration: int = cr.ENUMERATION_LIMIT     # full 2^n subset tables
     omega: int = ind.ENUMERATION_LIMIT          # all maximum independent sets
     alpha_exact: int = ind.ALPHA_LIMIT          # branch-and-bound alpha
-    matching_brute: int = mt.BRUTE_FORCE_LIMIT  # brute-force matching oracle
-    pair_subsets: int = 10      # all-pairs checks over critical sets
-    ge_oracle: int = ge.MISSED_VERTICES_LIMIT   # all maximum matchings
-    supermod_pairs: int = 10_000                # theorem_2_3 comparisons
 
 
 DEFAULT_LIMITS = Limits()
@@ -150,10 +151,9 @@ def check_diadem_is_union(ctx: GraphContext):
 
 
 def check_matching_oracle_agreement(ctx: GraphContext):
-    if ctx.g.n > ctx.limits.matching_brute:
+    if ctx.g.n > mt.BRUTE_FORCE_LIMIT:
         return None
-    return ctx.mu == mt.max_matching_bruteforce(ctx.g,
-                                                ctx.limits.matching_brute)
+    return ctx.mu == mt.max_matching_bruteforce(ctx.g)
 
 
 def check_theorem_2_1(ctx: GraphContext):
@@ -185,14 +185,14 @@ def check_supermodularity(ctx: GraphContext):
     local form d(X+i) + d(X+j) <= d(X+i+j) + d(X) for every X and every
     pair i < j outside X, which takes C(n,2) * 2^(n-2) comparisons.  The
     local form is checked exhaustively when that count is within
-    limits.supermod_pairs; otherwise that many random pairs (X, Y) of the
+    SUPERMOD_PAIRS; otherwise that many random pairs (X, Y) of the
     all-pairs form are checked.
     """
     d = ctx.dtab
     if d is None:
         return None
     n = ctx.g.n
-    pairs = ctx.limits.supermod_pairs
+    pairs = SUPERMOD_PAIRS
     if n < 2 or comb(n, 2) << (n - 2) <= pairs:
         singles = [1 << i for i in range(n)]
         for x in range(1 << n):
@@ -343,7 +343,7 @@ def check_theorem_2_15(ctx: GraphContext):
 
 def check_lemma_3_1(ctx: GraphContext):
     if ctx.critical_independent_sets is None \
-            or ctx.g.n > ctx.limits.pair_subsets:
+            or ctx.g.n > PAIR_SUBSET_LIMIT:
         return None
     for x, y in combinations(ctx.critical_independent_sets, 2):
         if not cr.check_lemma_31(ctx.g, x, y):
@@ -518,10 +518,10 @@ def check_conjecture_1_3(ctx: GraphContext):
 # ----- matching-structure checks --------------------------------------------
 
 def check_ge_oracle_agreement(ctx: GraphContext):
-    if ctx.g.n > ctx.limits.ge_oracle:
+    if ctx.g.n > ge.MISSED_VERTICES_LIMIT:
         return None
     p = ge.gallai_edmonds(ctx.g)
-    return p.d_set == ge.missed_vertices_oracle(ctx.g, ctx.limits.ge_oracle)
+    return p.d_set == ge.missed_vertices_oracle(ctx.g)
 
 
 def check_theorem_5_3(ctx: GraphContext):
@@ -726,6 +726,11 @@ def _iter_contexts(config: SweepConfig):
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
+    if not 0 <= config.min_n <= config.max_n:
+        raise ValueError(f"need 0 <= min_n <= max_n, got min_n="
+                         f"{config.min_n}, max_n={config.max_n}")
+    if config.samples < 0:
+        raise ValueError(f"samples must be non-negative, got {config.samples}")
     check_ids = (sorted(CHECKS) if config.checks is None
                  else list(config.checks))
     for cid in check_ids:

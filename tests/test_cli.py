@@ -74,6 +74,13 @@ class TestAnalyze:
         assert main(["analyze", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_negative_vertex_count_exits_2_with_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("-1 0\n")
+        assert main(["analyze", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ")
+
     def test_exact_flag_exits_3_when_limited(self, capsys, c5_file):
         code = main(["analyze", c5_file, "--exact", "--enum-limit", "2",
                      "--json", "--no-timestamp"])
@@ -177,6 +184,11 @@ class TestGenerate:
         assert main(["generate", "--random", "5,1,1", "--out", prefix]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("counts", ["3,-1,0", "3,1,-2"])
+    def test_negative_random_counts_exit_2(self, capsys, counts):
+        assert main(["generate", "--random", counts]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_random_mode_is_seeded(self, capsys):
         assert main(["generate", "--random", "5,2,1", "--seed", "9"]) == 0
         first = capsys.readouterr().out
@@ -244,6 +256,17 @@ class TestVerify:
         code = main(["verify", "--family", "random-gnp",
                      "--checks", "no_such_check"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "exhaustive-labeled", "--min-n", "-1", "--max-n", "1"],
+        ["--family", "random-gnp", "--min-n", "-3"],
+        ["--family", "random-gnp", "--min-n", "5", "--max-n", "4"],
+        ["--family", "random-bipartite", "--samples", "-1"],
+    ], ids=["exhaustive-negative", "gnp-negative", "min-above-max",
+            "negative-samples"])
+    def test_bad_size_range_exits_2(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_check_subset_runs_only_those(self, capsys):
         code = main(["verify", "--family", "random-gnp", "--max-n", "6",

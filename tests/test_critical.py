@@ -14,7 +14,10 @@ from critindep import (ColoredUnicyclic, Graph, PreconditionError, build_hx,
                        enumerate_minimal_positive_sets, is_independent, ker,
                        min_cardinality_positive_subset, union_is_minimal_union,
                        verify_hx_ker)
-from critindep.critical import check_lemma_31
+from critindep import critical
+from critindep.critical import (_check_strict_subset_differences,
+                                check_lemma_31, max_subset_difference)
+from critindep.graphs import bits
 from critindep.verification import GraphContext
 
 from common import (cycle, empty, figure1_graph, path, run_check, star,
@@ -148,6 +151,70 @@ class TestMinCardinalityPositiveSubset:
     def test_isolated_vertex_wins(self):
         assert min_cardinality_positive_subset(
             isolated_plus_edge(), [0, 1]) == {0}
+
+
+def submasks(mask: int):
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def strict_subsets_reference(g: Graph, xmask: int) -> bool:
+    """d(Y) < d(X) for every proper subset Y of X, by walking them all."""
+    dx = g.difference_mask(xmask)
+    return all(g.difference_mask(sub) < dx
+               for sub in submasks(xmask) if sub != xmask)
+
+
+class TestMaxSubsetDifference:
+    def test_star_leaves(self):
+        assert max_subset_difference(star(3), [1, 2, 3]) == 2
+
+    def test_dependent_set(self):
+        # d({0,1,2}) = 0 in P3, but its subset {0,2} has d = 1.
+        assert max_subset_difference(path(3), [0, 1, 2]) == 1
+
+    @settings(max_examples=300)
+    @given(g=graphs(max_n=10), data=st.data())
+    def test_agrees_with_submask_walk(self, g, data):
+        smask = data.draw(st.integers(0, g.full_mask))
+        assert max_subset_difference(g, bits(smask)) == max(
+            g.difference_mask(sub) for sub in submasks(smask))
+
+
+class TestStrictSubsetPrecondition:
+    @settings(max_examples=300)
+    @given(g=graphs(min_n=1, max_n=10), data=st.data())
+    def test_agrees_with_submask_walk(self, g, data):
+        xmask = data.draw(st.integers(1, g.full_mask))
+        try:
+            _check_strict_subset_differences(g, xmask)
+            holds = True
+        except PreconditionError:
+            holds = False
+        assert holds == strict_subsets_reference(g, xmask)
+
+    def test_one_call_per_vertex(self, monkeypatch):
+        calls = []
+
+        def counted(g, s):
+            calls.append(s)
+            return max_subset_difference(g, s)
+
+        monkeypatch.setattr(critical, "max_subset_difference", counted)
+        g = Graph.build(8, [(0, i) for i in (1, 2, 3)]
+                        + [(4, i) for i in (5, 6, 7)])
+        _check_strict_subset_differences(g, g.mask_of([1, 2, 3, 5, 6, 7]))
+        assert len(calls) == 6
+
+    def test_names_the_left_out_vertex(self):
+        g, x = figure1_graph()
+        with pytest.raises(PreconditionError, match="without"):
+            _check_strict_subset_differences(g, g.mask_of(x))
 
 
 class TestHXGadget:

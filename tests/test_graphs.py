@@ -176,6 +176,12 @@ class TestEdgeListFormat:
         with pytest.raises(FormatError):
             parse_edge_list("3 1\n2 1\n")
 
+    def test_negative_vertex_count_reports_line_number(self):
+        with pytest.raises(FormatError) as err:
+            parse_edge_list("# header next\n-1 0\n")
+        assert err.value.line == 2
+        assert "negative" in str(err.value)
+
     def test_duplicate_edge_reports_line_number(self):
         with pytest.raises(FormatError) as err:
             parse_edge_list("3 3\n0 1\n1 2\n0 1\n")

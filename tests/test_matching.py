@@ -71,6 +71,15 @@ class TestGeneralMatching:
         assert m.is_valid_for(g)
         assert m.size == max_matching_bruteforce(g)
 
+    @settings(max_examples=150)
+    @given(g=graphs(max_n=9))
+    def test_cached_witness_is_maximum(self, g):
+        # mu fills the cache that max_matching_general then reads.
+        size = mu(g)
+        m = max_matching_general(g)
+        assert m.is_valid_for(g)
+        assert m.size == size == max_matching_bruteforce(g)
+
     @given(g=graphs(min_n=1, max_n=8))
     def test_deleting_a_vertex_drops_mu_by_at_most_one(self, g):
         base = mu(g)

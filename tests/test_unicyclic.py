@@ -72,6 +72,11 @@ class TestGenerateRandom:
         with pytest.raises(PreconditionError):
             generate_random(3, 0, 2, seed=0)
 
+    @pytest.mark.parametrize("n_p2, n_leaf", [(-1, 0), (1, -2), (-1, -1)])
+    def test_negative_step_counts_rejected(self, n_p2, n_leaf):
+        with pytest.raises(PreconditionError):
+            generate_random(3, n_p2, n_leaf, seed=0)
+
 
 class TestRecognize:
     def test_bare_c7_all_blue(self):
