@@ -80,14 +80,16 @@ def _load_graph(path: str, fmt: str) -> tuple[Graph, bytes, str]:
     return parse_graph6(first), data, "graph6"
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args, render) -> None:
+    """Print payload as JSON with --json, else as render(payload); stamp it
+    with the time unless --no-timestamp."""
     if not args.no_timestamp:
         payload["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(render_text(payload), end="")
+        print(render(payload), end="")
 
 
 def cmd_analyze(args) -> int:
@@ -103,7 +105,7 @@ def cmd_analyze(args) -> int:
             print(f"error: exact field {field} unavailable: {reason}",
                   file=sys.stderr)
         return EXIT_LIMIT
-    _emit(report, args)
+    _emit(report, args, render_text)
     return EXIT_OK
 
 
@@ -112,7 +114,12 @@ def cmd_generate(args) -> int:
         if args.script:
             script = uc.parse_script(Path(args.script).read_text())
         else:
-            cyc, n_p2, n_leaf = (int(x) for x in args.random.split(","))
+            try:
+                cyc, n_p2, n_leaf = (int(x) for x in args.random.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"--random expects CYCLE,P2,LEAF, three integers, got "
+                    f"{args.random!r}") from None
             script, _ = uc.generate_random(cyc, n_p2, n_leaf, seed=args.seed)
         cu = uc.generate(script)
     except (GraphError, OSError, ValueError) as exc:
@@ -150,6 +157,16 @@ def cmd_recognize(args) -> int:
     return EXIT_OK
 
 
+def _render_sweep(payload: dict) -> str:
+    config = payload["config"]
+    lines = [f"family={config['family']} graphs={payload['graphs']} "
+             f"seed={config['seed']}"]
+    for cid, c in sorted(payload["checks"].items()):
+        lines.append(f"  {cid}: pass={c['pass']} fail={c['fail']} "
+                     f"skipped={c['skipped']}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_verify(args) -> int:
     checks = args.checks.split(",") if args.checks else None
     try:
@@ -181,18 +198,7 @@ def cmd_verify(args) -> int:
         "failures": [{"graph6": g6, "check": cid}
                      for g6, cid in result.certificates],
     }
-    if not args.no_timestamp:
-        payload["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc).isoformat()
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"family={config.family} graphs={result.graphs} "
-              f"seed={config.seed}")
-        for cid in sorted(result.counts):
-            c = result.counts[cid]
-            print(f"  {cid}: pass={c['pass']} fail={c['fail']} "
-                  f"skipped={c['skipped']}")
+    _emit(payload, args, _render_sweep)
     if result.certificates:
         cert_path = args.cert or "failures.cert"
         try:

@@ -333,68 +333,3 @@ def decompose_minimal(g: Graph, x: Iterable[int]) -> MinimalDecomposition:
         remaining &= ~(1 << rep)
     return MinimalDecomposition(x=set_of(xmask), k=k, parts=tuple(parts),
                                 representatives=tuple(reps))
-
-
-def union_is_minimal_union(g: Graph, x: Iterable[int],
-                           limit: int = ENUMERATION_LIMIT) -> bool:
-    """True iff x is a union of inclusion-minimal positive-difference sets."""
-    xmask = g.mask_of(x)
-    if xmask == 0:
-        return False
-    covered = 0
-    for s in enumerate_minimal_positive_sets(g, limit):
-        smask = g.mask_of(s)
-        if smask & ~xmask == 0:
-            covered |= smask
-    return covered == xmask
-
-
-# ---------------------------------------------------------------------------
-# Lemma 3.1
-# ---------------------------------------------------------------------------
-
-def check_lemma_31(g: Graph, x: Iterable[int], y: Iterable[int]) -> bool:
-    """For critical independent x, y: |N(x) meet y| = |N(y) meet x|."""
-    xset = set_of(g.mask_of(x))
-    yset = set_of(g.mask_of(y))
-    dc = critical_difference(g)
-    for name, s in (("x", xset), ("y", yset)):
-        if not is_independent(g, s):
-            raise PreconditionError(f"{name} must be independent")
-        if g.difference_mask(g.mask_of(s)) != dc:
-            raise PreconditionError(f"{name} must be critical")
-    return (len(neighborhood(g, xset) & yset)
-            == len(neighborhood(g, yset) & xset))
-
-
-# ---------------------------------------------------------------------------
-# Profile
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CriticalProfile:
-    d_c: int
-    ker: VertexSet
-    diadem: VertexSet
-    critical_sets: tuple[VertexSet, ...] | None
-    critical_independent_sets: tuple[VertexSet, ...] | None
-    minimal_positive_sets: tuple[VertexSet, ...] | None
-
-
-def critical_profile(g: Graph,
-                     limit: int = ENUMERATION_LIMIT) -> CriticalProfile:
-    """d_c, ker and diadem always; exhaustive enumerations when n permits."""
-    dtab = difference_table(g, limit) if g.n <= limit else None
-    return CriticalProfile(
-        d_c=critical_difference(g),
-        ker=ker(g),
-        diadem=diadem(g),
-        critical_sets=tuple(enumerate_critical_sets(g, dtab=dtab))
-        if dtab is not None else None,
-        critical_independent_sets=tuple(
-            enumerate_critical_sets(g, independent_only=True, dtab=dtab))
-        if dtab is not None else None,
-        minimal_positive_sets=tuple(
-            enumerate_minimal_positive_sets(g, dtab=dtab))
-        if dtab is not None else None,
-    )

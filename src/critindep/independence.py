@@ -8,7 +8,6 @@ against which the polynomial algorithms elsewhere are validated.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .errors import LimitExceededError
 from .graphs import Graph, VertexSet, bits, set_of
@@ -110,21 +109,3 @@ def core(g: Graph, limit: int = ENUMERATION_LIMIT) -> VertexSet:
         if inter == 0:
             break
     return set_of(inter or 0)
-
-
-@dataclass(frozen=True)
-class IndependenceProfile:
-    alpha: int
-    omega_sets: tuple[VertexSet, ...]
-    core: VertexSet
-
-
-def independence_profile(g: Graph,
-                         limit: int = ENUMERATION_LIMIT) -> IndependenceProfile:
-    omega = enumerate_maximum_independent_sets(g, limit)
-    inter = g.full_mask if g.n else 0
-    for s in omega:
-        inter &= g.mask_of(s)
-    return IndependenceProfile(alpha=len(omega[0]) if omega else 0,
-                               omega_sets=tuple(omega),
-                               core=set_of(inter))

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import hashlib
 
-from . import critical as cr
 from . import gallai_edmonds as ge
-from . import independence as ind
 from . import matching as mt
 from . import unicyclic as uc
 from .errors import GraphError
@@ -98,7 +96,7 @@ def analyze(g: Graph, limits: Limits = Limits(), source: bytes = b"",
                    for k, v in ge.check_theorem_53(g, p).items()},
     }
 
-    unicyclic_block = _unicyclic_block(g)
+    unicyclic_block = _unicyclic_block(ctx, skipped)
     if unicyclic_block is not None:
         report["unicyclic"] = unicyclic_block
 
@@ -108,7 +106,9 @@ def analyze(g: Graph, limits: Limits = Limits(), source: bytes = b"",
     return report
 
 
-def _unicyclic_block(g: Graph) -> dict | None:
+def _unicyclic_block(ctx: GraphContext,
+                     skipped: dict[str, str]) -> dict | None:
+    g = ctx.g
     if cycle_space_dimension(g) != 1:
         return None
     if len(connected_components(g)) == 1:
@@ -120,10 +120,13 @@ def _unicyclic_block(g: Graph) -> dict | None:
             return {"connected": True, "verdict": "KE"}
         return {"connected": True, "verdict": "non-KE",
                 "coloring": cu.coloring_dict()}
-    try:
-        stats = uc.disconnected_invariants(g)
-    except GraphError:
+    if ctx.alpha is None:
+        skipped["unicyclic.verdict"] = (
+            f"n={g.n} exceeds exact limit {ctx.limits.alpha_exact}")
+        return {"connected": False, "verdict": "unknown (limit)"}
+    if ctx.alpha + ctx.mu == g.n:
         return {"connected": False, "verdict": "KE"}
+    stats = uc.disconnected_invariants(g, ctx.limits.alpha_exact)
     return {"connected": False, "verdict": "non-KE", "invariants": stats}
 
 

@@ -55,11 +55,15 @@ class ColoredUnicyclic:
         return json.dumps(self.coloring_dict(), sort_keys=True)
 
 
+def _check_cycle_length(k: int, line: int | None = None) -> None:
+    if k < 3 or k % 2 == 0:
+        raise ScriptError(f"cycle length must be odd and >= 3, got {k}", line)
+
+
 def generate(script: BuildScript) -> ColoredUnicyclic:
     """Execute a build script; vertex ids follow creation order."""
     k = script.cycle_length
-    if k < 3 or k % 2 == 0:
-        raise ScriptError(f"cycle length must be odd and >= 3, got {k}")
+    _check_cycle_length(k)
     edges = [(i, (i + 1) % k) for i in range(k)]
     red: set[int] = set()
     black: set[int] = set()
@@ -101,6 +105,7 @@ def generate(script: BuildScript) -> ColoredUnicyclic:
 def generate_random(cycle_length: int, n_path2: int, n_leaf: int,
                     seed: int) -> tuple[BuildScript, ColoredUnicyclic]:
     """Seed-deterministic random interleaving of the two attachment steps."""
+    _check_cycle_length(cycle_length)
     if n_path2 < 0 or n_leaf < 0:
         raise PreconditionError(
             f"step counts must be non-negative, got {n_path2} path and "
@@ -232,10 +237,12 @@ def is_ke(g: Graph, limit: int = ALPHA_LIMIT) -> bool:
     return alpha(g, limit) + mu(g) == g.n
 
 
-def disconnected_invariants(g: Graph) -> dict:
+def disconnected_invariants(g: Graph, limit: int = ALPHA_LIMIT) -> dict:
     """Split a disconnected unicyclic graph (cycle component + forest) and
     verify that its critical difference, independence and matching numbers
-    all add up component-wise, with d_c equal to alpha minus mu."""
+    all add up component-wise, with d_c equal to alpha minus mu.  Raises
+    LimitExceededError when g has more than `limit` vertices, the largest
+    order whose alpha is computed exactly."""
     from .critical import critical_difference
 
     comps = connected_components(g)
@@ -254,14 +261,14 @@ def disconnected_invariants(g: Graph) -> dict:
     assert len(cyc_comps) == 1
     gp, _ = induced_subgraph(g, cyc_comps[0])
     f, _ = induced_subgraph(g, forest_vertices)
-    if is_ke(g):
+    if is_ke(g, limit):
         raise PreconditionError("graph must not be Koenig-Egervary")
     stats = {}
     for name, h in (("whole", g), ("cycle_component", gp), ("forest", f)):
         stats[name] = {
             "n": h.n,
             "d_c": critical_difference(h),
-            "alpha": alpha(h),
+            "alpha": alpha(h, limit),
             "mu": mu(h),
         }
     w, c, fo = stats["whole"], stats["cycle_component"], stats["forest"]
@@ -294,10 +301,7 @@ def parse_script(text: str) -> BuildScript:
                 cycle_length = int(parts[1])
             except ValueError:
                 raise ScriptError("non-integer cycle length", lineno) from None
-            if cycle_length < 3 or cycle_length % 2 == 0:
-                raise ScriptError(
-                    f"cycle length must be odd and >= 3, got {cycle_length}",
-                    lineno)
+            _check_cycle_length(cycle_length, lineno)
             continue
         if len(parts) != 2 or parts[0] not in ("p2", "leaf"):
             raise ScriptError("expected 'p2 <v>' or 'leaf <v>'", lineno)

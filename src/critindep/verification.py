@@ -19,7 +19,8 @@ from . import gallai_edmonds as ge
 from . import independence as ind
 from . import matching as mt
 from . import unicyclic as uc
-from .graphs import (Graph, bits, connected_components, delete_vertices,
+from .graphs import (Graph, bits, connected_components,
+                     cycle_space_dimension, delete_vertices, induced_subgraph,
                      neighborhood, set_of, to_graph6)
 
 
@@ -342,11 +343,13 @@ def check_theorem_2_15(ctx: GraphContext):
 
 
 def check_lemma_3_1(ctx: GraphContext):
+    """|N(x) meet y| = |N(y) meet x| for any two critical independent sets."""
     if ctx.critical_independent_sets is None \
             or ctx.g.n > PAIR_SUBSET_LIMIT:
         return None
+    g = ctx.g
     for x, y in combinations(ctx.critical_independent_sets, 2):
-        if not cr.check_lemma_31(ctx.g, x, y):
+        if len(neighborhood(g, x) & y) != len(neighborhood(g, y) & x):
             return False
     return True
 
@@ -502,16 +505,14 @@ def check_leaf_step_count(ctx: GraphContext):
 
 
 def check_conjecture_1_3(ctx: GraphContext):
-    """Disconnected unicyclic: d_c = alpha - mu, additively over parts."""
-    comps = connected_components(ctx.g)
-    if len(comps) < 2:
+    """Disconnected unicyclic non-KE: d_c = alpha - mu, additively over
+    parts."""
+    g = ctx.g
+    if len(connected_components(g)) < 2 or cycle_space_dimension(g) != 1:
         return None
-    from .graphs import cycle_space_dimension
-    if cycle_space_dimension(ctx.g) != 1:
+    if ctx.alpha is None or ctx.alpha + ctx.mu == g.n:
         return None
-    if uc.is_ke(ctx.g):
-        return None
-    report = uc.disconnected_invariants(ctx.g)
+    report = uc.disconnected_invariants(g, ctx.limits.alpha_exact)
     return all(report["checks"].values())
 
 
@@ -535,20 +536,20 @@ def check_theorem_5_3(ctx: GraphContext):
 
 
 def check_lemma_5_4(ctx: GraphContext):
-    """Negative difference of independent sets inside the non-singleton
-    factor-critical components of G[D]."""
+    """Every nonempty independent set inside the non-singleton components
+    of G[D] has negative difference there.  Lemma 5.4 asks those
+    components to be factor-critical; the partition records whether they
+    are."""
     p = ge.gallai_edmonds(ctx.g)
-    big = [comp for comp, _ in p.d_components if len(comp) > 1]
-    if not big:
+    big = [(comp, flag) for comp, flag in p.d_components if len(comp) > 1]
+    if not big or not all(flag for _, flag in big):
         return None
-    vertices: set[int] = set()
-    for comp in big:
-        vertices |= comp
-    from .graphs import induced_subgraph
-    sub, _ = induced_subgraph(ctx.g, vertices)
+    sub, _ = induced_subgraph(ctx.g, set().union(*(comp for comp, _ in big)))
     if sub.n > ctx.limits.enumeration:
         return None
-    return ge.check_lemma_54(sub, ctx.limits.enumeration)
+    return all(sub.difference_mask(mask) < 0
+               for mask in range(1, 1 << sub.n)
+               if not sub.neighborhood_mask(mask) & mask)
 
 
 def check_corollary_5_6(ctx: GraphContext):

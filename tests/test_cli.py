@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import critindep
-from critindep import generate, to_edge_list, to_graph6
+from critindep import Graph, generate, to_edge_list, to_graph6
 from critindep.cli import LIMIT_CEILING, main
 
 from common import c3_with_pendant, complete, cycle, figure2_script, star
@@ -150,6 +150,69 @@ class TestAnalyze:
         assert report["unicyclic"]["coloring"] == cu.coloring_dict()
 
 
+def disconnected_unicyclic_file(tmp_path, cycle_length: int,
+                                path_length: int) -> str:
+    """A cycle plus a disjoint path, as an edge-list file."""
+    g = Graph.build(cycle_length + path_length,
+                    [(i, (i + 1) % cycle_length) for i in range(cycle_length)]
+                    + [(cycle_length + i, cycle_length + i + 1)
+                       for i in range(path_length - 1)])
+    target = tmp_path / f"c{cycle_length}_p{path_length}.txt"
+    target.write_text(to_edge_list(g))
+    return str(target)
+
+
+class TestDisconnectedUnicyclic:
+    def test_beyond_alpha_limit_is_unknown(self, capsys, tmp_path):
+        path = disconnected_unicyclic_file(tmp_path, 3, 42)
+        code, report = run_json(
+            capsys, ["analyze", path, "--json", "--no-timestamp"])
+        assert code == 0
+        assert report["unicyclic"] == {"connected": False,
+                                       "verdict": "unknown (limit)"}
+        assert report["skipped"]["unicyclic.verdict"] == (
+            "n=45 exceeds exact limit 40")
+        assert report["checks"]["conjecture_1_3"] == "skipped"
+
+    def test_exact_flag_exits_3_beyond_alpha_limit(self, capsys, tmp_path):
+        path = disconnected_unicyclic_file(tmp_path, 3, 42)
+        assert main(["analyze", path, "--exact", "--json"]) == 3
+        assert ("exact field unicyclic.verdict unavailable"
+                in capsys.readouterr().err)
+
+    def test_raised_alpha_limit_gives_the_verdict(self, capsys, tmp_path):
+        path = disconnected_unicyclic_file(tmp_path, 3, 42)
+        _, report = run_json(capsys, ["analyze", path, "--alpha-limit", "45",
+                                      "--json", "--no-timestamp"])
+        block = report["unicyclic"]
+        assert block["verdict"] == "non-KE"
+        assert all(block["invariants"]["checks"].values())
+        assert report["checks"]["conjecture_1_3"] == "pass"
+
+    @pytest.mark.parametrize("cycle_length, verdict", [(3, "non-KE"),
+                                                       (4, "KE")])
+    def test_alpha_limit_flag_is_read(self, capsys, tmp_path, cycle_length,
+                                      verdict):
+        path = disconnected_unicyclic_file(tmp_path, cycle_length, 3)
+        _, report = run_json(capsys, ["analyze", path,
+                                      "--json", "--no-timestamp"])
+        assert report["unicyclic"]["verdict"] == verdict
+        _, report = run_json(capsys, ["analyze", path, "--alpha-limit", "5",
+                                      "--json", "--no-timestamp"])
+        assert report["unicyclic"]["verdict"] == "unknown (limit)"
+        assert "unicyclic.verdict" in report["skipped"]
+
+    def test_verify_reads_the_alpha_limit(self, capsys):
+        argv = ["verify", "--family", "unicyclic-disconnected",
+                "--samples", "20", "--checks", "conjecture_1_3",
+                "--json", "--no-timestamp"]
+        _, report = run_json(capsys, argv)
+        assert report["checks"]["conjecture_1_3"]["pass"] > 0
+        _, report = run_json(capsys, argv + ["--alpha-limit", "3"])
+        assert report["checks"]["conjecture_1_3"] == {
+            "pass": 0, "fail": 0, "skipped": 20}
+
+
 class TestGenerate:
     def test_bare_cycle_script(self, capsys, tmp_path):
         script = tmp_path / "c5.script"
@@ -188,6 +251,16 @@ class TestGenerate:
     def test_negative_random_counts_exit_2(self, capsys, counts):
         assert main(["generate", "--random", counts]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0,1,0", "cycle length must be odd and >= 3, got 0"),
+        ("3,1", "expects CYCLE,P2,LEAF"),
+    ], ids=["zero-cycle", "two-counts"])
+    def test_bad_random_spec_exits_2_with_reason(self, capsys, spec,
+                                                  message):
+        assert main(["generate", "--random", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_random_mode_is_seeded(self, capsys):
         assert main(["generate", "--random", "5,2,1", "--seed", "9"]) == 0
@@ -267,6 +340,14 @@ class TestVerify:
     def test_bad_size_range_exits_2(self, capsys, argv):
         assert main(["verify", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_text_output(self, capsys):
+        assert main(["verify", "--family", "exhaustive-labeled",
+                     "--max-n", "2", "--checks", "dc_oracle_agreement",
+                     "--no-timestamp"]) == 0
+        assert capsys.readouterr().out == (
+            "family=exhaustive-labeled graphs=3 seed=0\n"
+            "  dc_oracle_agreement: pass=3 fail=0 skipped=0\n")
 
     def test_check_subset_runs_only_those(self, capsys):
         code = main(["verify", "--family", "random-gnp", "--max-n", "6",

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from critindep import (ColoredUnicyclic, Graph, PreconditionError, build_hx,
                        critical_difference, critical_difference_oracle,
-                       critical_profile, decompose_minimal, diadem,
-                       diadem_oracle, difference, enumerate_critical_sets,
+                       decompose_minimal, diadem, diadem_oracle, difference,
+                       enumerate_critical_sets,
                        enumerate_minimal_positive_sets, is_independent, ker,
-                       min_cardinality_positive_subset, union_is_minimal_union,
-                       verify_hx_ker)
+                       min_cardinality_positive_subset, verify_hx_ker)
 from critindep import critical
 from critindep.critical import (_check_strict_subset_differences,
-                                check_lemma_31, max_subset_difference)
+                                max_subset_difference)
 from critindep.graphs import bits
-from critindep.verification import GraphContext
+from critindep.verification import GraphContext, Limits
 
 from common import (cycle, empty, figure1_graph, path, run_check, star,
                     witness_graph)
@@ -319,11 +318,6 @@ class TestDecomposeMinimal:
 
 
 class TestConverseAndCriticality:
-    def test_union_examples(self):
-        assert union_is_minimal_union(star(3), [1, 2, 3])
-        assert not union_is_minimal_union(star(3), [1])
-        assert not union_is_minimal_union(cycle(5), [0, 2])
-
     def test_theorem_4_14_star(self):
         ctx = black_context(star(3), [1, 2, 3])
         assert run_check(ctx, "theorem_4_14") == "pass"
@@ -336,11 +330,14 @@ class TestConverseAndCriticality:
         assert run_check(ctx, "theorem_4_14") == "fail"
 
     def test_lemma_31_p4(self):
-        assert check_lemma_31(path(4), [0, 2], [1, 3])
+        assert run_check(GraphContext(path(4)), "lemma_3_1") == "pass"
 
-    def test_lemma_31_rejects_noncritical(self):
-        with pytest.raises(PreconditionError):
-            check_lemma_31(star(3), [1, 2], [1, 3])
+    def test_lemma_31_reads_context_sets(self):
+        # |N({1,2,3}) meet {0}| = 1 but |N({0}) meet {1,2,3}| = 3.
+        ctx = GraphContext(star(3))
+        ctx.critical_independent_sets = [frozenset({1, 2, 3}),
+                                         frozenset({0})]
+        assert run_check(ctx, "lemma_3_1") == "fail"
 
     def test_theorem_32_examples(self):
         for g in (star(3), cycle(5), path(4)):
@@ -387,15 +384,15 @@ class TestSupermodularity:
 
 class TestProfile:
     def test_star_profile(self):
-        profile = critical_profile(star(3))
-        assert profile.d_c == 2
-        assert profile.ker == {1, 2, 3}
-        assert profile.diadem == {1, 2, 3}
-        assert profile.critical_sets == ({1, 2, 3},)
-        assert len(profile.minimal_positive_sets) == 3
+        ctx = GraphContext(star(3))
+        assert ctx.dc == 2
+        assert ctx.ker == {1, 2, 3}
+        assert ctx.diadem == {1, 2, 3}
+        assert ctx.critical_sets == [{1, 2, 3}]
+        assert len(ctx.minimal_positive_sets) == 3
 
     def test_large_graph_skips_enumerations(self):
-        profile = critical_profile(empty(18), limit=16)
-        assert profile.d_c == 18
-        assert profile.critical_sets is None
-        assert profile.minimal_positive_sets is None
+        ctx = GraphContext(empty(18), Limits(enumeration=16))
+        assert ctx.dc == 18
+        assert ctx.critical_sets is None
+        assert ctx.minimal_positive_sets is None

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from critindep import (Graph, LimitExceededError, PreconditionError,
-                       check_lemma_54, check_theorem_53, ker)
+import critindep.gallai_edmonds as ge
+from critindep import (Graph, GallaiEdmondsPartition, LimitExceededError,
+                       check_theorem_53, ker, reports)
 from critindep.gallai_edmonds import gallai_edmonds, missed_vertices_oracle
-from critindep.verification import GraphContext
+from critindep.verification import GraphContext, run_graph_checks
 
 from common import cycle, empty, path, run_check, star
 from conftest import graphs
@@ -93,20 +94,50 @@ class TestTheorem53:
 
 class TestLemma54:
     def test_c5(self):
-        assert check_lemma_54(cycle(5))
+        assert run_check(GraphContext(cycle(5)), "lemma_5_4") == "pass"
 
     def test_disjoint_odd_cycles(self):
         edges = [(i, (i + 1) % 3) for i in range(3)]
         edges += [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
-        assert check_lemma_54(Graph.build(8, edges))
+        assert run_check(GraphContext(Graph.build(8, edges)),
+                         "lemma_5_4") == "pass"
 
-    def test_rejects_singleton_component(self):
-        with pytest.raises(PreconditionError):
-            check_lemma_54(empty(1))
+    @pytest.mark.parametrize("flag, status", [(False, "skipped"),
+                                              (True, "fail")],
+                             ids=["not-factor-critical", "factor-critical"])
+    def test_component_flag_gates_the_check(self, monkeypatch, flag, status):
+        # P3 is not factor-critical and {0, 2} has difference 1, so the
+        # check runs (and fails) only if the partition claims otherwise.
+        whole = frozenset(range(3))
+        fake = GallaiEdmondsPartition(d_set=whole, a_set=frozenset(),
+                                      c_set=frozenset(),
+                                      d_components=((whole, flag),))
+        monkeypatch.setattr(ge, "gallai_edmonds", lambda g: fake)
+        assert run_check(GraphContext(path(3)), "lemma_5_4") == status
 
-    def test_rejects_non_factor_critical_component(self):
-        with pytest.raises(PreconditionError):
-            check_lemma_54(path(3))
+
+class TestPartitionCache:
+    def test_one_partition_per_graph(self, monkeypatch):
+        # A star, a 5-cycle and a path: D has singleton and non-singleton
+        # components, and n = 12 keeps the missed-vertices oracle (and its
+        # own mu call) out of the check run.
+        edges = [(0, 1), (0, 2), (0, 3), (9, 10), (10, 11)]
+        edges += [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+        g = Graph.build(12, edges)
+        calls = []
+        counted = ge.mu
+
+        def mu(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(ge, "mu", mu)
+        ge._partition.cache_clear()
+        statuses = run_graph_checks(GraphContext(g))
+        reports.analyze(g)
+        assert len(calls) == g.n + 1
+        assert statuses["lemma_5_4"] == "pass"
+        assert gallai_edmonds(g) is gallai_edmonds(g)
 
 
 class TestCorollary56:

@@ -17,6 +17,17 @@ from common import complete, cycle, empty, path, star
 from conftest import graphs
 
 
+@st.composite
+def sparse_graphs_past_one_byte_header(draw):
+    """Graphs with 63 <= n <= 130, where graph6 writes n in four bytes,
+    and at most 2n edges."""
+    n = draw(st.integers(min_value=63, max_value=130))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    return Graph.build(n, {(min(u, v), max(u, v)) for u, v in pairs
+                           if u != v})
+
+
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(FormatError):
@@ -224,4 +235,16 @@ class TestGraph6Format:
     @settings(max_examples=100)
     @given(g=graphs(max_n=9))
     def test_edge_list_round_trip(self, g):
+        assert parse_edge_list(to_edge_list(g)) == g
+
+    @settings(max_examples=50)
+    @given(g=sparse_graphs_past_one_byte_header())
+    def test_round_trip_with_four_byte_header(self, g):
+        encoded = to_graph6(g)
+        assert encoded.startswith("~")
+        assert parse_graph6(encoded) == g
+
+    @settings(max_examples=50)
+    @given(g=sparse_graphs_past_one_byte_header())
+    def test_edge_list_round_trip_past_62_vertices(self, g):
         assert parse_edge_list(to_edge_list(g)) == g

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from critindep import (LimitExceededError, alpha, core,
-                       enumerate_maximum_independent_sets,
-                       independence_profile, is_independent, mu)
+                       enumerate_maximum_independent_sets, is_independent,
+                       mu)
 
 from common import complete, cycle, empty, path, petersen, star
 from conftest import bipartite_graphs, graphs
@@ -104,10 +104,10 @@ class TestCore:
 
 class TestProfileAndKoenig:
     def test_profile_consistency(self):
-        profile = independence_profile(star(3))
-        assert profile.alpha == 3
-        assert profile.omega_sets == ({1, 2, 3},)
-        assert profile.core == {1, 2, 3}
+        g = star(3)
+        assert alpha(g) == 3
+        assert enumerate_maximum_independent_sets(g) == [{1, 2, 3}]
+        assert core(g) == {1, 2, 3}
 
     @settings(max_examples=150)
     @given(gb=bipartite_graphs(max_n=10))

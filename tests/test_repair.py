@@ -17,8 +17,8 @@ from critindep import (Graph, critical_difference, critical_difference_oracle,
                        diadem, is_factor_critical, ker,
                        max_matching_bruteforce, max_matching_general, mu)
 from critindep.gallai_edmonds import gallai_edmonds
-from critindep.graphs import (bits, delete_vertices, induced_subgraph,
-                              neighborhood)
+from critindep.graphs import (bits, connected_components, delete_vertices,
+                              induced_subgraph, neighborhood)
 
 from common import cycle, path, petersen, star
 from conftest import graphs
@@ -83,6 +83,24 @@ def _factor_critical_by_deletion(g: Graph) -> bool:
                == g.n // 2 for v in range(g.n))
 
 
+def _partition_by_deletion(g: Graph) -> tuple:
+    """(D, A, C, {(component of G[D], factor-critical)}) from fresh
+    graphs."""
+    d_set = _d_by_deletion(g)
+    a_set = neighborhood(g, d_set) - d_set
+    sub, labels = induced_subgraph(g, d_set)
+    comps = frozenset(
+        (frozenset(labels[v] for v in comp),
+         _factor_critical_by_deletion(induced_subgraph(sub, comp)[0]))
+        for comp in connected_components(sub))
+    return d_set, a_set, frozenset(range(g.n)) - d_set - a_set, comps
+
+
+def _partition_fields(g: Graph) -> tuple:
+    p = gallai_edmonds(g)
+    return p.d_set, p.a_set, p.c_set, frozenset(p.d_components)
+
+
 def test_structures_match_the_deletion_route_on_random_graphs():
     rng = random.Random(20170111)
     for n in range(20, 121, 20):
@@ -92,14 +110,7 @@ def test_structures_match_the_deletion_route_on_random_graphs():
                                 if rng.random() < degree / n])
             assert ker(g) == _ker_by_deletion(g)
             assert diadem(g) == _diadem_by_deletion(g)
-            p = gallai_edmonds(g)
-            d_set = _d_by_deletion(g)
-            assert p.d_set == d_set
-            assert p.a_set == neighborhood(g, d_set) - d_set
-            assert p.c_set == frozenset(range(n)) - d_set - p.a_set
-            for comp, flag in p.d_components:
-                sub, _ = induced_subgraph(g, comp)
-                assert flag == _factor_critical_by_deletion(sub)
+            assert _partition_fields(g) == _partition_by_deletion(g)
 
 
 def test_factor_critical_matches_the_deletion_route():
@@ -127,8 +138,8 @@ def test_equal_graphs_built_separately_give_equal_answers():
 
 
 def test_interleaved_graphs_keep_their_own_answers():
-    # More graphs than either cache holds, queried round-robin, so every
-    # entry is evicted and rebuilt while the others are in use.
+    # More graphs than any of the caches holds, queried round-robin, so
+    # every entry is evicted and rebuilt while the others are in use.
     rng = random.Random(3)
     pool = [Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                             if rng.random() < 0.3])
@@ -139,12 +150,15 @@ def test_interleaved_graphs_keep_their_own_answers():
             h, _ = delete_vertices(g, [v])
             expected[g, v] = (critical_difference_oracle(h),
                               max_matching_bruteforce(h))
+        expected[g] = _partition_by_deletion(g)
     for _ in range(3):
         for v in range(12):
             for g in pool:
                 if v < g.n:
                     assert (critical_difference(g, [v]),
                             mu(g, [v])) == expected[g, v]
+                if v % 4 == 0:
+                    assert _partition_fields(g) == expected[g]
     for g in pool:
         assert critical_difference(g) == critical_difference_oracle(g)
         assert mu(g) == max_matching_bruteforce(g)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critindep import (BuildScript, Graph, NotUnicyclicError,
-                       PreconditionError, ScriptError, alpha,
+from critindep import (BuildScript, Graph, LimitExceededError,
+                       NotUnicyclicError, PreconditionError, ScriptError, alpha,
                        critical_difference, disconnected_invariants, generate,
                        generate_random, is_ke, mu, parse_script, recognize,
                        script_to_text)
@@ -71,6 +71,11 @@ class TestGenerateRandom:
     def test_leaf_requires_a_path_step(self):
         with pytest.raises(PreconditionError):
             generate_random(3, 0, 2, seed=0)
+
+    @pytest.mark.parametrize("cycle_length", [0, 1, 4])
+    def test_bad_cycle_length_rejected_before_drawing(self, cycle_length):
+        with pytest.raises(ScriptError, match="cycle length"):
+            generate_random(cycle_length, 1, 0, seed=0)
 
     @pytest.mark.parametrize("n_p2, n_leaf", [(-1, 0), (1, -2), (-1, -1)])
     def test_negative_step_counts_rejected(self, n_p2, n_leaf):
@@ -151,6 +156,12 @@ class TestDisconnectedInvariants:
     def test_rejects_connected_input(self):
         with pytest.raises(PreconditionError):
             disconnected_invariants(cycle(5))
+
+    def test_alpha_limit_is_honoured(self):
+        g = Graph.build(7, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)])
+        with pytest.raises(LimitExceededError):
+            disconnected_invariants(g, limit=6)
+        assert all(disconnected_invariants(g, limit=7)["checks"].values())
 
 
 class TestScriptFormat:
