@@ -18,15 +18,23 @@ pairs at the deleted copies are dropped and Hopcroft-Karp resumes)
 instead of building G - S and matching it from scratch.
 
 Each polynomial route has an exhaustive-subset oracle beside it; the test
-suite holds them against each other on every corpus graph.
+suite holds them against each other on every corpus graph.  The oracles
+read one subset table per graph: d(X) as one signed byte and an
+independence flag as one byte for each of the 2^n masks X, built by
+doubling over the vertices with `bytes.translate` and big-integer
+operations rather than one Python step per mask.  The inclusion-minimal
+positive sets come from the same table by a subset-OR closure on a big
+integer with one byte per mask.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import LimitExceededError, PreconditionError
 from .graphs import Graph, VertexSet, bits, neighborhood, set_of
@@ -86,42 +94,85 @@ def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
     return sum(1 for u in left if match[u] == -1)
 
 
-def difference_table(g: Graph, limit: int = ENUMERATION_LIMIT) -> list[int]:
-    """d(X) for every subset mask X, by incremental neighborhood DP."""
+class SubsetTable(NamedTuple):
+    """d(X) and an independence flag for every subset mask X of a graph."""
+
+    d: array              # signed bytes, d(X) = |X| - |N(X)|
+    independent: bytes    # 1 where N(X) misses X, else 0
+
+
+# Byte translation tables for the bulk subset passes.
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
+_PLUS_ONE = bytes(range(1, 256)) + bytes(1)
+_POSITIVE = bytes(1) + bytes([1]) * 127 + bytes(128)  # signed byte > 0
+_BIT_CLEAR = tuple(bytes(1 - (b >> k & 1) for b in range(256))
+                   for k in range(8))
+
+
+@lru_cache(maxsize=256)
+def _or_table(c: int) -> bytes:
+    """The translation table that ORs every byte with c."""
+    return bytes(b | c for b in range(256))
+
+
+def _big(data: bytes) -> int:
+    return int.from_bytes(data, "little")
+
+
+def _subset_table(g: Graph) -> SubsetTable:
+    """d(X) and the independence flags of all 2^n masks of g.
+
+    Byte X of each table belongs to mask X.  The masks whose top vertex is
+    v are the lower masks plus v, so every table is built by doubling over
+    the vertices: N(X + v) = N(X) | N(v), and X + v is independent iff X
+    is and v is not in N(X).  N(X) is held as one byte string per eight
+    vertices, so each doubling is a `bytes.translate`; it is dropped once
+    d(X) has been read off it.
+    """
+    n = g.n
+    size = 1 << n
+    nbs = [bytes(1)] * ((n + 7) >> 3)    # byte j of N(X)
+    card = bytes([n])                     # |X| + n
+    independent = bytes([1])
+    for v, nv in enumerate(g.adj):
+        free = nbs[v >> 3].translate(_BIT_CLEAR[v & 7])
+        independent += (_big(independent) & _big(free)).to_bytes(
+            len(free), "little")
+        nbs = [nb + nb.translate(_or_table(nv >> (j << 3) & 0xFF))
+               for j, nb in enumerate(nbs)]
+        card += card.translate(_PLUS_ONE)
+    # Each byte of |X| + n - |N(X)| lies in 0..2n, so no byte borrows.
+    biased = _big(card) - sum(_big(nb.translate(_POPCOUNT)) for nb in nbs)
+    unbias = bytes((b - n) & 0xFF for b in range(256))
+    d = array("b", biased.to_bytes(size, "little").translate(unbias))
+    return SubsetTable(d, independent)
+
+
+def difference_table(g: Graph, limit: int = ENUMERATION_LIMIT) -> SubsetTable:
+    """d(X) and the independence flag of every subset mask X."""
     if g.n > limit:
         raise LimitExceededError(f"n={g.n} exceeds enumeration limit {limit}")
-    size = 1 << g.n
-    adj = g.adj
-    nb = [0] * size
-    dtab = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        nb[mask] = nb[mask ^ low] | adj[low.bit_length() - 1]
-        dtab[mask] = mask.bit_count() - nb[mask].bit_count()
-    return dtab
+    return _subset_table(g)
 
 
 def critical_difference_oracle(g: Graph, limit: int = ENUMERATION_LIMIT) -> int:
     """Exhaustive max of d over all 2^n subsets."""
-    return max(difference_table(g, limit))
+    return max(difference_table(g, limit).d)
 
 
 def enumerate_critical_sets(g: Graph, independent_only: bool = False,
                             limit: int = ENUMERATION_LIMIT,
-                            dtab: list[int] | None = None) -> list[VertexSet]:
+                            table: SubsetTable | None = None
+                            ) -> list[VertexSet]:
     """All subsets attaining the critical difference, deterministic order.
 
-    `dtab` is g's difference table when the caller already holds it."""
-    if dtab is None:
-        dtab = difference_table(g, limit)
+    `table` is g's subset table when the caller already holds it."""
+    if table is None:
+        table = difference_table(g, limit)
+    dtab, independent = table
     dc = max(dtab)
-    out = []
-    for mask in range(len(dtab)):
-        if dtab[mask] != dc:
-            continue
-        if independent_only and g.neighborhood_mask(mask) & mask:
-            continue
-        out.append(set_of(mask))
+    out = [set_of(mask) for mask, dx in enumerate(dtab)
+           if dx == dc and (not independent_only or independent[mask])]
     out.sort(key=sorted)
     return out
 
@@ -167,36 +218,46 @@ def diadem_oracle(g: Graph, limit: int = ENUMERATION_LIMIT) -> VertexSet:
 # Inclusion-minimal positive-difference sets
 # ---------------------------------------------------------------------------
 
+def _positions(flags: bytes):
+    """The indices of the nonzero bytes of a 0/1 byte string."""
+    i = flags.find(1)
+    while i >= 0:
+        yield i
+        i = flags.find(1, i + 1)
+
+
 def enumerate_minimal_positive_sets(
         g: Graph, limit: int = ENUMERATION_LIMIT,
-        dtab: list[int] | None = None) -> list[VertexSet]:
+        dtab: Sequence[int] | None = None) -> list[VertexSet]:
     """All inclusion-minimal sets with positive difference.
 
     Minimality is certified against every proper subset (single-vertex
-    removals alone are not sufficient), via an any-positive-subset DP over
-    the subset lattice.  `dtab` is g's difference table when the caller
-    already holds it.
+    removals alone are not sufficient).  The subset lattice is held as a
+    big integer with one byte per mask; n shift-and-or steps close
+    "d > 0" under supersets ("some subset is positive"), n more give
+    "some proper subset is positive", and the minimal sets are the
+    positive masks left out of the second.  `dtab` is g's difference
+    table when the caller already holds it.
     """
     if dtab is None:
-        dtab = difference_table(g, limit)
+        dtab = difference_table(g, limit).d
     size = len(dtab)
-    anypos = bytearray(size)
-    out = []
-    for mask in range(1, size):
-        if dtab[mask] > 0:
-            anypos[mask] = 1
-            minimal = True
-            for v in bits(mask):
-                if anypos[mask ^ (1 << v)]:
-                    minimal = False
-                    break
-            if minimal:
-                out.append(set_of(mask))
-        else:
-            for v in bits(mask):
-                if anypos[mask ^ (1 << v)]:
-                    anypos[mask] = 1
-                    break
+    positive = _big(array("b", dtab).tobytes().translate(_POSITIVE))
+    n = size.bit_length() - 1
+
+    def lane(v: int) -> int:
+        """1 at the masks that hold v: runs of 2^v zeros, then of 2^v ones."""
+        half = 1 << v
+        return _big((bytes(half) + bytes([1]) * half) * (size >> v + 1))
+
+    below = positive
+    for v in range(n):
+        below |= below << (8 << v) & lane(v)
+    proper = 0
+    for v in range(n):
+        proper |= below << (8 << v) & lane(v)
+    minimal = (positive & ~proper).to_bytes(size, "little")
+    out = [set_of(mask) for mask in _positions(minimal)]
     out.sort(key=sorted)
     return out
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 
-from . import gallai_edmonds as ge
 from . import matching as mt
 from . import unicyclic as uc
 from .errors import GraphError
@@ -83,7 +82,7 @@ def analyze(g: Graph, limits: Limits = Limits(), source: bytes = b"",
         skipped["ke_status"] = (
             f"n={g.n} exceeds exact limit {limits.alpha_exact}")
 
-    p = ge.gallai_edmonds(g)
+    p, clauses = ctx.theorem_53
     report["gallai_edmonds"] = {
         "D": sorted(p.d_set),
         "A": sorted(p.a_set),
@@ -93,7 +92,7 @@ def analyze(g: Graph, limits: Limits = Limits(), source: bytes = b"",
             for comp, flag in p.d_components
         ],
         "checks": {k: (v if v is not None else "skipped")
-                   for k, v in ge.check_theorem_53(g, p).items()},
+                   for k, v in clauses.items()},
     }
 
     unicyclic_block = _unicyclic_block(ctx, skipped)

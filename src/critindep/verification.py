@@ -52,10 +52,17 @@ class GraphContext:
         self.script = script
 
     @cached_property
-    def dtab(self) -> list[int] | None:
+    def table(self) -> cr.SubsetTable | None:
+        """d(X) and the independence flag of every subset X, within the
+        enumeration limit."""
         if self.g.n > self.limits.enumeration:
             return None
         return cr.difference_table(self.g, self.limits.enumeration)
+
+    @cached_property
+    def dtab(self):
+        """d(X) for every subset X, within the enumeration limit."""
+        return None if self.table is None else self.table.d
 
     @cached_property
     def dc(self) -> int:
@@ -71,22 +78,29 @@ class GraphContext:
 
     @cached_property
     def critical_sets(self):
-        if self.dtab is None:
+        if self.table is None:
             return None
-        return cr.enumerate_critical_sets(self.g, dtab=self.dtab)
+        return cr.enumerate_critical_sets(self.g, table=self.table)
 
     @cached_property
     def critical_independent_sets(self):
-        if self.dtab is None:
+        if self.table is None:
             return None
         return cr.enumerate_critical_sets(self.g, independent_only=True,
-                                          dtab=self.dtab)
+                                          table=self.table)
 
     @cached_property
     def minimal_positive_sets(self):
         if self.dtab is None:
             return None
         return cr.enumerate_minimal_positive_sets(self.g, dtab=self.dtab)
+
+    @cached_property
+    def theorem_53(self) -> tuple[ge.GallaiEdmondsPartition, dict]:
+        """The Gallai-Edmonds partition and Theorem 5.3's clause report,
+        built once for the analyze report and the theorem_5_3 check."""
+        p = ge.gallai_edmonds(self.g)
+        return p, ge.check_theorem_53(self.g, p)
 
     @cached_property
     def alpha(self) -> int | None:
@@ -308,7 +322,7 @@ def check_theorem_2_14(ctx: GraphContext):
                 unions.add(u)
                 frontier.add(u)
     for x in unions:
-        if g.neighborhood_mask(x) & x:
+        if not ctx.table.independent[x]:
             return False
         dx = ctx.dtab[x]
         if dx <= 0:
@@ -526,8 +540,7 @@ def check_ge_oracle_agreement(ctx: GraphContext):
 
 
 def check_theorem_5_3(ctx: GraphContext):
-    p = ge.gallai_edmonds(ctx.g)
-    report = ge.check_theorem_53(ctx.g, p)
+    p, report = ctx.theorem_53
     # no edge may join D and C
     for u, v in ctx.g.edges:
         if (u in p.d_set and v in p.c_set) or (v in p.d_set and u in p.c_set):
@@ -547,9 +560,11 @@ def check_lemma_5_4(ctx: GraphContext):
     sub, _ = induced_subgraph(ctx.g, set().union(*(comp for comp, _ in big)))
     if sub.n > ctx.limits.enumeration:
         return None
-    return all(sub.difference_mask(mask) < 0
-               for mask in range(1, 1 << sub.n)
-               if not sub.neighborhood_mask(mask) & mask)
+    # The unguarded builder: the limit is checked above, and the traced
+    # difference_table count stays at one table per graph.
+    dtab, independent = cr._subset_table(sub)
+    return all(dtab[mask] < 0 for mask in range(1, 1 << sub.n)
+               if independent[mask])
 
 
 def check_corollary_5_6(ctx: GraphContext):

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import critindep
 from critindep import Graph, generate, to_edge_list, to_graph6
@@ -388,3 +390,21 @@ def test_import_leaves_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(
+           st.binary(max_size=48),
+           # graph6 characters, so that some inputs parse as graphs
+           st.text(st.characters(min_codepoint=63, max_codepoint=126),
+                   max_size=48).map(str.encode)),
+       argv=st.sampled_from([["analyze"], ["recognize"],
+                             ["hx", "--set", "0"]]))
+def test_random_bytes_exit_0_or_2(capsys, tmp_path, data, argv):
+    # Arbitrary file contents either parse or end with a clean error;
+    # an uncaught exception here would be a traceback for the user.
+    target = tmp_path / "input"
+    target.write_bytes(data)
+    assert main([argv[0], str(target), *argv[1:]]) in (0, 2)
+    capsys.readouterr()

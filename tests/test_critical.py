@@ -3,6 +3,9 @@ and the decomposition machinery."""
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +18,10 @@ from critindep import (ColoredUnicyclic, Graph, PreconditionError, build_hx,
                        min_cardinality_positive_subset, verify_hx_ker)
 from critindep import critical
 from critindep.critical import (_check_strict_subset_differences,
-                                max_subset_difference)
-from critindep.graphs import bits
-from critindep.verification import GraphContext, Limits
+                                difference_table, max_subset_difference)
+from critindep.graphs import bits, set_of
+from critindep.verification import (GraphContext, Limits, random_gnp,
+                                    run_graph_checks)
 
 from common import (cycle, empty, figure1_graph, path, run_check, star,
                     witness_graph)
@@ -396,3 +400,77 @@ class TestProfile:
         assert ctx.dc == 18
         assert ctx.critical_sets is None
         assert ctx.minimal_positive_sets is None
+
+
+def anypos_minimal_sets(dtab) -> list[frozenset[int]]:
+    """The inclusion-minimal positive masks of a table, by the per-mask
+    any-positive-subset walk over the subset lattice."""
+    anypos = bytearray(len(dtab))
+    out = []
+    for mask in range(1, len(dtab)):
+        below = any(anypos[mask ^ (1 << v)] for v in bits(mask))
+        if dtab[mask] > 0:
+            anypos[mask] = 1
+            if not below:
+                out.append(set_of(mask))
+        elif below:
+            anypos[mask] = 1
+    return sorted(out, key=sorted)
+
+
+class TestSubsetTable:
+    @settings(max_examples=150)
+    @given(g=graphs(max_n=10))
+    def test_agrees_with_per_mask_queries(self, g):
+        table = difference_table(g)
+        assert len(table.d) == len(table.independent) == 1 << g.n
+        for x in range(1 << g.n):
+            assert table.d[x] == g.difference_mask(x)
+            assert table.independent[x] == (not g.neighborhood_mask(x) & x)
+
+    @settings(max_examples=150)
+    @given(g=graphs(max_n=10))
+    def test_minimal_positive_sets_match_the_subset_walk(self, g):
+        assert enumerate_minimal_positive_sets(g) == anypos_minimal_sets(
+            difference_table(g).d)
+
+    @settings(max_examples=100)
+    @given(k=st.integers(0, 7), data=st.data())
+    def test_closure_on_arbitrary_tables(self, k, data):
+        # Any table of small integers with d(empty set) = 0, not only a
+        # graph's, so minimality is exercised on arbitrary positive sets.
+        dtab = [0] + data.draw(st.lists(st.integers(-2, 2),
+                                        min_size=(1 << k) - 1,
+                                        max_size=(1 << k) - 1))
+        assert enumerate_minimal_positive_sets(
+            empty(k), dtab=dtab) == anypos_minimal_sets(dtab)
+
+    def test_limit(self):
+        with pytest.raises(critical.LimitExceededError):
+            difference_table(empty(5), limit=4)
+
+    def test_checks_peak_memory_at_n_16(self):
+        # Lists of Python ints per mask peak at about 4.8 MiB here, and
+        # keeping N(X) for every mask as Python ints adds 1.2-1.5 MiB.
+        g = random_gnp(16, 0.35, random.Random(0))
+        tracemalloc.start()
+        try:
+            statuses = run_graph_checks(GraphContext(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "fail" not in statuses.values()
+        assert peak < 1.5 * 2 ** 20
+
+
+class TestTheorem215:
+    @pytest.mark.parametrize("mask, status", [
+        (0b1110, "fail"),   # ker = {1, 2, 3} itself: independent, matched
+        (0b0011, "pass"),   # {0, 1} is not independent
+        (0b0010, "pass"),   # {1} does not contain ker
+    ])
+    def test_tampered_table(self, mask, status):
+        ctx = GraphContext(star(3))
+        assert run_check(ctx, "theorem_2_15") == "pass"
+        ctx.dtab[mask] = ctx.dc - 1
+        assert run_check(ctx, "theorem_2_15") == status

@@ -139,6 +139,27 @@ class TestPartitionCache:
         assert statuses["lemma_5_4"] == "pass"
         assert gallai_edmonds(g) is gallai_edmonds(g)
 
+    def test_one_clause_report_per_analyze(self, monkeypatch):
+        # |A| = 2 here, so clause (ii) walks the subsets of A.
+        g = Graph.build(7, [(0, 1), (0, 2), (3, 4), (3, 5), (0, 6), (3, 6)])
+        calls = []
+        counted = ge.check_theorem_53
+
+        def check_theorem_53(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(ge, "check_theorem_53", check_theorem_53)
+        report = reports.analyze(g)
+        assert len(calls) == 1
+        assert report["checks"]["theorem_5_3"] == "pass"
+        assert report["gallai_edmonds"]["A"] == [0, 3]
+        assert report["gallai_edmonds"]["checks"] == {
+            "a_matched_to_distinct_components": True,
+            "a_subsets_touch_components": True,
+            "c_perfect_matching": True,
+            "d_components_factor_critical": True}
+
 
 class TestCorollary56:
     def test_p3(self):
