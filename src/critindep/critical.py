@@ -12,10 +12,23 @@ The copy layout and every fresh Hopcroft-Karp run live in
 `matching._match_sides`: the double cover is its matching with both
 sides full, and the best difference inside a set S is |S| minus its
 matching of S into N(S) (Hall's defect formula).  One maximum matching
-of the double cover is computed per graph and kept in a small cache;
-each d_c(G - S) that ker and diadem ask for repairs a copy of it (the
-pairs at the deleted copies are dropped and Hopcroft-Karp resumes)
-instead of building G - S and matching it from scratch.
+M of the double cover is computed per graph and kept in a small cache,
+and every d_c(G - S) that ker and diadem ask for is read off it instead
+of building G - S and matching it from scratch:
+
+  * a single deleted vertex v reads a table of all n answers, built once
+    per graph.  If an alternating path from an exposed left copy reaches
+    v's left copy, some maximum matching misses both copies of v, and
+    d_c(G - v) = d_c - 1.  Otherwise both copies are matched in every
+    maximum matching; dropping their pairs frees two copies, and only a
+    path between those two can come back.  It does iff u = mate(v + n)
+    reaches v in the digraph x -> mate(r) over the right neighbours r
+    of x, which one strongly-connected-component pass answers for
+    every v at once: d_c if so, d_c + 1 if not.
+  * several deleted vertices drop the pairs at their copies and search
+    once from each freed copy that is still exposed.  Unless a path found
+    there joins two freed copies, the result is maximum, since otherwise
+    M would not be; if one does, Hopcroft-Karp resumes over the cover.
 
 Each polynomial route has an exhaustive-subset oracle beside it; the test
 suite holds them against each other on every corpus graph.  The oracles
@@ -49,17 +62,153 @@ SUBSET_SEARCH_LIMIT = 25
 # Critical difference
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _double_cover(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Left-copy adjacency lists of the double cover of g, one maximum
-    matching of it and d_c(g), shared by every `critical_difference` call
-    on g.
+@dataclass(slots=True)
+class _Cover:
+    """The double cover of one graph, one maximum matching of it and d_c.
 
     The cover has a left copy u and a right copy u + n of every vertex u,
-    and joins u to v + n and v to u + n for each edge uv.
+    and joins u to v + n and v to u + n for each edge uv.  `nbrs` lists
+    the neighbours of every copy: the left copies' lists come from
+    Hopcroft-Karp, and by symmetry the left neighbours of w + n are w's
+    right neighbours shifted by -n.  `single` holds d_c(g - v) - d_c + 1
+    for every vertex v once a single-vertex deletion has asked for it.
     """
+
+    nbrs: list[list[int]]
+    match: tuple[int, ...]
+    dc: int
+    single: bytes | None = None
+
+
+@lru_cache(maxsize=4)
+def _double_cover(g: Graph) -> _Cover:
+    """The double cover of g, shared by every `critical_difference` call
+    on g."""
     adj, match, _ = _match_sides(g, g.full_mask, g.full_mask)
-    return adj, tuple(match), match[:g.n].count(-1)
+    n = g.n
+    nbrs = adj + [[r - n for r in rs] for rs in adj]
+    return _Cover(nbrs, tuple(match), match[:n].count(-1))
+
+
+def _single_deletions(n: int, nbrs: list[list[int]],
+                      match: tuple[int, ...]) -> bytes:
+    """d_c(g - v) - d_c + 1 for every vertex v, read off one maximum
+    matching M of the double cover.
+
+    A left copy is slack when an alternating path from an exposed left
+    copy reaches it (exposed left, a right neighbour, that neighbour's
+    mate, ...).  Every right neighbour of a slack copy is matched, since M
+    is maximum.  The three cases:
+
+    * v slack: some maximum matching M1 misses v.  Its mirror (swap the
+      copies) misses v + n, and the component at v + n of the symmetric
+      difference of M1 and its mirror is an even path.  The mirror maps that path to itself reversed if it
+      ends at v, and then would fix its middle vertex; so it ends
+      elsewhere, and flipping M1 along it misses both copies of v.  The
+      cover of g - v keeps a matching of M's size: d_c - 1.
+    * v not slack, so both copies of v are matched in every maximum
+      matching.  Dropping their two pairs frees u = mate(v + n) and
+      mate(v).  An alternating path from u to an exposed copy other than
+      mate(v) would, behind the pair v + n - u, miss v + n in a maximum
+      matching, and one from mate(v) would likewise miss v; so one
+      augmenting path can come back at most.  It does iff u reaches v in
+      the digraph x -> mate(r), over r in the right neighbours of x: the
+      last step enters v through mate(v).  Then d_c, otherwise d_c + 1.
+
+    Slack copies only lead to slack copies, so the digraph is taken on
+    the other copies alone.  Its strongly connected components come out
+    of Tarjan's search sinks first, so each component's reach (a big
+    integer bitset over vertices) is its members OR the reach of the
+    components its edges enter, all finished before it.
+    """
+    slack = bytearray(n)
+    stack = [u for u in range(n) if match[u] == -1]
+    for u in stack:
+        slack[u] = 1
+    while stack:
+        for r in nbrs[stack.pop()]:
+            y = match[r]
+            if not slack[y]:
+                slack[y] = 1
+                stack.append(y)
+    succ = [[y for r in nbrs[x] if (y := match[r]) != -1 and not slack[y]]
+            for x in range(n)]
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    reach: list[int] = []
+    tarjan: list[int] = []
+    order = 0
+    for root in range(n):
+        if slack[root] or index[root] != -1:
+            continue
+        index[root] = low[root] = order
+        order += 1
+        tarjan.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            x, it = work[-1]
+            for y in it:
+                if index[y] == -1:
+                    index[y] = low[y] = order
+                    order += 1
+                    tarjan.append(y)
+                    work.append((y, iter(succ[y])))
+                    break
+                if comp[y] == -1 and index[y] < low[x]:
+                    low[x] = index[y]
+            else:
+                work.pop()
+                if work and low[x] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[x]
+                if low[x] == index[x]:
+                    c = len(reach)
+                    bitset = 0
+                    members = []
+                    while not members or members[-1] != x:
+                        y = tarjan.pop()
+                        comp[y] = c
+                        bitset |= 1 << y
+                        members.append(y)
+                    for y in members:
+                        for z in succ[y]:
+                            if comp[z] != c:
+                                bitset |= reach[comp[z]]
+                    reach.append(bitset)
+    out = bytearray(n)
+    for v in range(n):
+        if not slack[v]:
+            u = match[v + n]
+            out[v] = 2 if slack[u] or not reach[comp[u]] >> v & 1 else 1
+    return bytes(out)
+
+
+def _augment(f: int, nbrs: list[list[int]], match: list[int],
+             blocked: list[int]) -> int:
+    """Augment `match` in place along an alternating path from the exposed
+    copy f to an exposed copy on the other side, and return that copy, or
+    -1 if there is none.  The copies in `blocked` are never entered."""
+    prev = dict.fromkeys(blocked, -1)
+    prev[f] = -1
+    stack = [f]
+    while stack:
+        x = stack.pop()
+        for r in nbrs[x]:
+            y = match[r]
+            if y == -1:
+                end = r
+                while True:
+                    back = match[x]
+                    match[x] = r
+                    match[r] = x
+                    if back == -1:
+                        return end
+                    r = back
+                    x = prev[x]
+            if y not in prev:
+                prev[y] = x
+                stack.append(y)
+    return -1
 
 
 def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
@@ -68,30 +217,62 @@ def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
     double cover.
 
     By Koenig's theorem the cover's matching deficiency on one side
-    equals the maximum difference.  The cover's maximum matching is
-    computed once per graph; for a deletion it is repaired by dropping the
-    pairs at the deleted copies and resuming Hopcroft-Karp.
+    equals the maximum difference.  The cover's maximum matching M is
+    computed once per graph and every deletion is answered from it:
+
+    * one deleted vertex v reads a table of all n answers, built on the
+      first such query by one slack pass and one reachability pass over M
+      (see `_single_deletions`);
+    * several deleted vertices drop the pairs at their copies, and one
+      alternating search runs from each freed copy that is still exposed:
+      forward from a left copy, backward from a right copy.  A copy whose
+      search fails has no augmenting path after later augmentations
+      either.  So if no path found there joins two freed copies, the
+      repaired matching is maximum: an augmenting path left between two
+      copies that M already left exposed, with M's pairs at the freed
+      copies that stayed exposed and at the deleted copies, would give
+      the cover a matching larger than M.  Otherwise Hopcroft-Karp
+      resumes over the cover.
     """
-    adj, base, dc = _double_cover(g)
+    cover = _double_cover(g)
     gone = g.mask_of(removed)
     if not gone:
-        return dc
+        return cover.dc
     n = g.n
-    match = list(base)
+    if gone.bit_count() == 1:
+        if cover.single is None:
+            cover.single = _single_deletions(n, cover.nbrs, cover.match)
+        return cover.dc - 1 + cover.single[gone.bit_length() - 1]
+    match = list(cover.match)
+    freed = []
+    dead = []
     for s in bits(gone):
         for copy in (s, s + n):
-            if match[copy] != -1:
-                match[match[copy]] = -1
-        # Park each deleted left copy on its own right copy and leave it
-        # out of `left`.  Its dist then stays 0, never INF nor the dist of
-        # a searched vertex plus one, so Hopcroft-Karp neither scans its
-        # edges nor enters the deleted right copy: the search sees the
-        # double cover of g - removed without rebuilding the adjacency.
+            mate = match[copy]
+            if mate != -1:
+                match[mate] = -1
+                freed.append(mate)
+            dead.append(copy)
+        # Park each deleted left copy on its own right copy.  Neither
+        # copy then looks exposed, a search never enters them (they are
+        # blocked), and Hopcroft-Karp leaves the deleted left copy out of
+        # `left`: its dist stays 0, never INF nor the dist of a searched
+        # vertex plus one, so it neither scans its edges nor enters the
+        # deleted right copy.  The searches see the double cover of
+        # g - removed without rebuilding the adjacency.
         match[s] = s + n
         match[s + n] = s
-    left = [u for u in range(n) if not gone >> u & 1]
-    _hopcroft_karp(2 * n, adj, left, match=match)
-    return sum(1 for u in left if match[u] == -1)
+    # A freed copy that is itself deleted is parked, so never searched.
+    ends = set(freed)
+    joined = False
+    for f in freed:
+        if match[f] == -1 and _augment(f, cover.nbrs, match, dead) in ends:
+            joined = True
+    if joined:
+        _hopcroft_karp(2 * n, cover.nbrs, [u for u in range(n)
+                                           if not gone >> u & 1],
+                       match=match)
+    return match[:n].count(-1)
 
 
 class SubsetTable(NamedTuple):

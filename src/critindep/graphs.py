@@ -37,6 +37,14 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     adj: tuple[int, ...] = field(compare=False)
 
+    def __post_init__(self) -> None:
+        # Every per-graph cache lookup hashes the graph; hashing the edge
+        # tuple walks all m edges, so do it once.
+        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:

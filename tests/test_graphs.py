@@ -51,6 +51,24 @@ class TestConstruction:
         for u, v in g.edges:
             assert g.has_edge(u, v) and g.has_edge(v, u)
 
+    @settings(max_examples=100)
+    @given(g=graphs(), seed=st.randoms(use_true_random=False))
+    def test_graphs_built_separately_hash_and_compare_equal(self, g, seed):
+        edges = [(v, u) for u, v in g.edges]
+        seed.shuffle(edges)
+        twin = Graph.build(g.n, edges)
+        assert twin is not g
+        assert twin == g and hash(twin) == hash(g)
+        assert hash(g) == hash((g.n, g.edges))
+        assert {g: 1}[twin] == 1
+
+    def test_equality_reads_the_vertex_count_and_edges_only(self):
+        p3 = path(3)
+        assert p3 == Graph(3, ((0, 1), (1, 2)), (0, 0, 0))
+        assert p3 != Graph.build(4, p3.edges)
+        assert p3 != Graph.build(3, [(0, 1)])
+        assert p3 != (3, p3.edges)
+
 
 class TestNeighborhoodAndDifference:
     def test_path_middle_vertex(self):

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critindep import (Graph, critical_difference, critical_difference_oracle,
                        diadem, is_factor_critical, ker,
                        max_matching_bruteforce, max_matching_general, mu)
+from critindep.critical import _double_cover
 from critindep.gallai_edmonds import gallai_edmonds
 from critindep.graphs import (bits, connected_components, delete_vertices,
                               induced_subgraph, neighborhood)
@@ -41,6 +43,51 @@ def test_repaired_values_match_the_deleted_graph(case):
     assert critical_difference(h) == critical_difference_oracle(h)
     assert mu(g, removed) == mu(h) == max_matching_general(h).size
     assert mu(h) == max_matching_bruteforce(h)
+
+
+@settings(max_examples=200)
+@given(g=graphs(max_n=12))
+def test_single_deletion_table_matches_the_oracle(g):
+    for v in range(g.n):
+        h, _ = delete_vertices(g, [v])
+        assert critical_difference(g, [v]) == critical_difference_oracle(h)
+
+
+@pytest.mark.parametrize("g, v, change", [
+    (path(2), 0, +1),       # K2 leaves one isolated vertex
+    (path(3), 1, +1),       # the centre of P3 leaves two
+    (star(3), 0, +1),       # the centre of K1,3 leaves three
+    (path(3), 0, -1),       # a leaf of P3 lies in ker
+    (cycle(3), 0, 0),       # C3 - v is K2
+    (cycle(5), 2, 0),       # C5 - v is P4
+])
+def test_single_deletion_gives_each_change(g, v, change):
+    dc = critical_difference(g)
+    assert critical_difference(g, [v]) == dc + change
+    assert critical_difference_oracle(delete_vertices(g, [v])[0]) == dc + change
+
+
+def test_search_joining_two_freed_copies_needs_hopcroft_karp():
+    # A triangle 1-2-4 with a pendant at 1 and at 2.  The cached cover
+    # matching pairs 0 with 1 and 3 with 2 in both directions and leaves
+    # both copies of 4 exposed.  Deleting 0 and 3 frees both copies of 1
+    # and of 2, and their searches pair 1 and 2 with each other; only the
+    # resumed search then finds 4 - 1' = 2 - 4' between the two copies of
+    # 4 that were exposed all along.
+    g = Graph.build(5, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4)])
+    assert _double_cover(g).match == (6, 5, 8, 7, -1, 1, 0, 3, 2, -1)
+    assert critical_difference(g, [0, 3]) == 0
+
+
+def test_repairs_match_fresh_covers_on_sparse_random_graphs():
+    rng = random.Random(1958)
+    for n in range(20, 81, 10):
+        g = Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 3 / n])
+        for _ in range(60):
+            removed = rng.sample(range(n), rng.randint(1, 6))
+            h, _ = delete_vertices(g, removed)
+            assert critical_difference(g, removed) == critical_difference(h)
 
 
 def test_search_joining_two_freed_vertices_needs_the_second_pass():
