@@ -69,7 +69,7 @@ class _Cover:
     The cover has a left copy u and a right copy u + n of every vertex u,
     and joins u to v + n and v to u + n for each edge uv.  `nbrs` lists
     the neighbours of every copy: the left copies' lists come from
-    Hopcroft-Karp, and by symmetry the left neighbours of w + n are w's
+    `_match_sides`, and by symmetry the left neighbours of w + n are w's
     right neighbours shifted by -n.  `single` holds d_c(g - v) - d_c + 1
     for every vertex v once a single-vertex deletion has asked for it.
     """
