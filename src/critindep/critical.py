@@ -3,10 +3,12 @@ ker, diadem, inclusion-minimal positive-difference sets, the two-vertex
 bipartite gadget, and the decomposition of sets whose proper subsets all
 have strictly smaller difference.
 
-Polynomial routes:
+Polynomial routes, all read off one matching of the double cover:
   * critical difference via the bipartite double cover (d_c = n - mu(cover)),
-  * ker via per-vertex deletion (v is in ker iff d_c drops by one),
-  * diadem membership via 1 - deg(v) + d_c(G - N[v]) = d_c(G).
+  * ker via per-vertex deletion (v is in ker iff d_c drops by one), each
+    d_c(G - v) a lookup in one table per graph,
+  * diadem membership via 1 - deg(v) + d_c(G - N[v]) = d_c(G), each
+    d_c(G - N[v]) a few alternating searches from the freed copies.
 
 The copy layout and every fresh Hopcroft-Karp run live in
 `matching._match_sides`: the double cover is its matching with both
