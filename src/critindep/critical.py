@@ -6,31 +6,36 @@ have strictly smaller difference.
 Polynomial routes, all read off one matching of the double cover:
   * critical difference via the bipartite double cover (d_c = n - mu(cover)),
   * ker via per-vertex deletion (v is in ker iff d_c drops by one), each
-    d_c(G - v) a lookup in one table per graph,
-  * diadem membership via 1 - deg(v) + d_c(G - N[v]) = d_c(G), each
-    d_c(G - N[v]) a few alternating searches from the freed copies.
+    d_c(G - v) a lookup in the cover's alternating structure,
+  * diadem membership read off the same structure: v is in the diadem
+    iff some minimum vertex cover of the double cover misses both copies
+    of v.
 
 The copy layout and every fresh Hopcroft-Karp run live in
 `matching._match_sides`: the double cover is its matching with both
 sides full, and the best difference inside a set S is |S| minus its
 matching of S into N(S) (Hall's defect formula).  One maximum matching
 M of the double cover is computed per graph and kept in a small cache,
-and every d_c(G - S) that ker and diadem ask for is read off it instead
-of building G - S and matching it from scratch:
+together with its alternating structure, built on first use: the slack
+left copies (those an alternating path from an exposed left copy
+reaches) and, over the other left copies, the strongly connected
+components of the digraph x -> mate(r), r a right neighbour of x, with
+the set each component reaches.
 
-  * a single deleted vertex v reads a table of all n answers, built once
-    per graph.  If an alternating path from an exposed left copy reaches
-    v's left copy, some maximum matching misses both copies of v, and
-    d_c(G - v) = d_c - 1.  Otherwise both copies are matched in every
-    maximum matching; dropping their pairs frees two copies, and only a
-    path between those two can come back.  It does iff u = mate(v + n)
-    reaches v in the digraph x -> mate(r) over the right neighbours r
-    of x, which one strongly-connected-component pass answers for
-    every v at once: d_c if so, d_c + 1 if not.
-  * several deleted vertices drop the pairs at their copies and search
-    once from each freed copy that is still exposed.  Unless a path found
-    there joins two freed copies, the result is maximum, since otherwise
-    M would not be; if one does, Hopcroft-Karp resumes over the cover.
+  * d_c(G - v) is d_c - 1 if v is slack.  Otherwise both copies of v are
+    matched in every maximum matching, and only an alternating path
+    between the two copies their pairs free can come back.  It does iff
+    u = mate(v + n) reaches v: d_c if so, d_c + 1 if not.
+  * a minimum vertex cover of the double cover takes one end of each
+    pair of M, and the left copies it leaves out form a closed set of
+    that digraph that holds every slack copy and no copy with an exposed
+    right neighbour; every such set is left out by one minimum cover
+    (Koenig; Dulmage-Mendelsohn).  Critical sets correspond to these
+    covers, and J - N(J) is a critical independent set whenever J is
+    critical (Larson, 2007), so the diadem is the set of vertices some
+    such cover misses on both sides.
+  * several deleted vertices build the cover of G - S afresh: no route
+    here asks for them, and that oracle route needs no repair of M.
 
 Each polynomial route has an exhaustive-subset oracle beside it; the test
 suite holds them against each other on every corpus graph.  The oracles
@@ -52,9 +57,10 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import LimitExceededError, PreconditionError
-from .graphs import Graph, VertexSet, bits, neighborhood, set_of
+from .graphs import (Graph, VertexSet, bits, delete_vertices, neighborhood,
+                     set_of)
 from .independence import is_independent
-from .matching import _hopcroft_karp, _match_sides
+from .matching import _match_sides
 
 ENUMERATION_LIMIT = 16
 SUBSET_SEARCH_LIMIT = 25
@@ -64,6 +70,15 @@ SUBSET_SEARCH_LIMIT = 25
 # Critical difference
 # ---------------------------------------------------------------------------
 
+class _Alternating(NamedTuple):
+    """The alternating structure of one maximum matching of a double cover,
+    over the left copies (see `_alternating`)."""
+
+    slack: bytearray    # 1 where an exposed left copy reaches the copy
+    comp: list[int]     # component of each other copy, -1 at slack ones
+    reach: list[int]    # per component, the bitset of copies it reaches
+
+
 @dataclass(slots=True)
 class _Cover:
     """The double cover of one graph, one maximum matching of it and d_c.
@@ -72,50 +87,46 @@ class _Cover:
     and joins u to v + n and v to u + n for each edge uv.  `nbrs` lists
     the neighbours of every copy: the left copies' lists come from
     `_match_sides`, and by symmetry the left neighbours of w + n are w's
-    right neighbours shifted by -n.  `single` holds d_c(g - v) - d_c + 1
-    for every vertex v once a single-vertex deletion has asked for it.
+    right neighbours shifted by -n.  `alternating` holds the matching's
+    alternating structure once a single-vertex deletion or `diadem` has
+    asked for it.
     """
 
     nbrs: list[list[int]]
     match: tuple[int, ...]
     dc: int
-    single: bytes | None = None
+    alternating: _Alternating | None = None
+
+    def structure(self) -> _Alternating:
+        if self.alternating is None:
+            self.alternating = _alternating(self.nbrs, self.match)
+        return self.alternating
 
 
 @lru_cache(maxsize=4)
 def _double_cover(g: Graph) -> _Cover:
-    """The double cover of g, shared by every `critical_difference` call
-    on g."""
+    """The double cover of g, shared by every `critical_difference` and
+    `diadem` call on g."""
     adj, match, _ = _match_sides(g, g.full_mask, g.full_mask)
     n = g.n
     nbrs = adj + [[r - n for r in rs] for rs in adj]
     return _Cover(nbrs, tuple(match), match[:n].count(-1))
 
 
-def _single_deletions(n: int, nbrs: list[list[int]],
-                      match: tuple[int, ...]) -> bytes:
-    """d_c(g - v) - d_c + 1 for every vertex v, read off one maximum
-    matching M of the double cover.
+def _alternating(nbrs: list[list[int]],
+                 match: tuple[int, ...]) -> _Alternating:
+    """The slack left copies of a maximum matching M of the double cover,
+    and the strongly connected components of the digraph x -> mate(r),
+    over r in the right neighbours of x, on the other left copies, each
+    with the bitset of copies it reaches.
 
     A left copy is slack when an alternating path from an exposed left
     copy reaches it (exposed left, a right neighbour, that neighbour's
-    mate, ...).  Every right neighbour of a slack copy is matched, since M
-    is maximum.  The three cases:
-
-    * v slack: some maximum matching M1 misses v.  Its mirror (swap the
-      copies) misses v + n, and the component at v + n of the symmetric
-      difference of M1 and its mirror is an even path.  The mirror maps that path to itself reversed if it
-      ends at v, and then would fix its middle vertex; so it ends
-      elsewhere, and flipping M1 along it misses both copies of v.  The
-      cover of g - v keeps a matching of M's size: d_c - 1.
-    * v not slack, so both copies of v are matched in every maximum
-      matching.  Dropping their two pairs frees u = mate(v + n) and
-      mate(v).  An alternating path from u to an exposed copy other than
-      mate(v) would, behind the pair v + n - u, miss v + n in a maximum
-      matching, and one from mate(v) would likewise miss v; so one
-      augmenting path can come back at most.  It does iff u reaches v in
-      the digraph x -> mate(r), over r in the right neighbours of x: the
-      last step enters v through mate(v).  Then d_c, otherwise d_c + 1.
+    mate, ...); these are the left copies that some maximum matching
+    misses.  Every right neighbour of a slack copy is matched, since M is
+    maximum.  A copy v is slack iff v + n is missed by some maximum
+    matching too: the mirror that swaps the copies maps maximum matchings
+    to maximum matchings.
 
     Slack copies only lead to slack copies, so the digraph is taken on
     the other copies alone.  Its strongly connected components come out
@@ -123,6 +134,7 @@ def _single_deletions(n: int, nbrs: list[list[int]],
     integer bitset over vertices) is its members OR the reach of the
     components its edges enter, all finished before it.
     """
+    n = len(match) // 2
     slack = bytearray(n)
     stack = [u for u in range(n) if match[u] == -1]
     for u in stack:
@@ -177,40 +189,7 @@ def _single_deletions(n: int, nbrs: list[list[int]],
                             if comp[z] != c:
                                 bitset |= reach[comp[z]]
                     reach.append(bitset)
-    out = bytearray(n)
-    for v in range(n):
-        if not slack[v]:
-            u = match[v + n]
-            out[v] = 2 if slack[u] or not reach[comp[u]] >> v & 1 else 1
-    return bytes(out)
-
-
-def _augment(f: int, nbrs: list[list[int]], match: list[int],
-             blocked: list[int]) -> int:
-    """Augment `match` in place along an alternating path from the exposed
-    copy f to an exposed copy on the other side, and return that copy, or
-    -1 if there is none.  The copies in `blocked` are never entered."""
-    prev = dict.fromkeys(blocked, -1)
-    prev[f] = -1
-    stack = [f]
-    while stack:
-        x = stack.pop()
-        for r in nbrs[x]:
-            y = match[r]
-            if y == -1:
-                end = r
-                while True:
-                    back = match[x]
-                    match[x] = r
-                    match[r] = x
-                    if back == -1:
-                        return end
-                    r = back
-                    x = prev[x]
-            if y not in prev:
-                prev[y] = x
-                stack.append(y)
-    return -1
+    return _Alternating(slack, comp, reach)
 
 
 def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
@@ -220,61 +199,42 @@ def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
 
     By Koenig's theorem the cover's matching deficiency on one side
     equals the maximum difference.  The cover's maximum matching M is
-    computed once per graph and every deletion is answered from it:
+    computed once per graph, and one deleted vertex v is answered from
+    M's alternating structure (see `_alternating`):
 
-    * one deleted vertex v reads a table of all n answers, built on the
-      first such query by one slack pass and one reachability pass over M
-      (see `_single_deletions`);
-    * several deleted vertices drop the pairs at their copies, and one
-      alternating search runs from each freed copy that is still exposed:
-      forward from a left copy, backward from a right copy.  A copy whose
-      search fails has no augmenting path after later augmentations
-      either.  So if no path found there joins two freed copies, the
-      repaired matching is maximum: an augmenting path left between two
-      copies that M already left exposed, with M's pairs at the freed
-      copies that stayed exposed and at the deleted copies, would give
-      the cover a matching larger than M.  Otherwise Hopcroft-Karp
-      resumes over the cover.
+    * v slack: some maximum matching M1 misses v.  Its mirror misses
+      v + n, and the component at v + n of the symmetric difference of M1
+      and its mirror is an even path.  The mirror maps that path to
+      itself reversed if it ends at v, and then would fix its middle
+      vertex; so it ends elsewhere, and flipping M1 along it misses both
+      copies of v.  The cover of g - v keeps a matching of M's size:
+      d_c - 1.
+    * v not slack, so both copies of v are matched in every maximum
+      matching.  Dropping their two pairs frees u = mate(v + n) and
+      mate(v).  An alternating path from u to an exposed copy other than
+      mate(v) would, behind the pair v + n - u, miss v + n in a maximum
+      matching, and one from mate(v) would likewise miss v; so one
+      augmenting path can come back at most.  It does iff u is not slack
+      and reaches v: the last step enters v through mate(v).  Then d_c,
+      otherwise d_c + 1.
+
+    Several deleted vertices are answered from a fresh cover of
+    g - removed, an oracle route that no polynomial route here uses.
     """
     cover = _double_cover(g)
     gone = g.mask_of(removed)
     if not gone:
         return cover.dc
-    n = g.n
-    if gone.bit_count() == 1:
-        if cover.single is None:
-            cover.single = _single_deletions(n, cover.nbrs, cover.match)
-        return cover.dc - 1 + cover.single[gone.bit_length() - 1]
-    match = list(cover.match)
-    freed = []
-    dead = []
-    for s in bits(gone):
-        for copy in (s, s + n):
-            mate = match[copy]
-            if mate != -1:
-                match[mate] = -1
-                freed.append(mate)
-            dead.append(copy)
-        # Park each deleted left copy on its own right copy.  Neither
-        # copy then looks exposed, a search never enters them (they are
-        # blocked), and Hopcroft-Karp leaves the deleted left copy out of
-        # `left`: its dist stays 0, never INF nor the dist of a searched
-        # vertex plus one, so it neither scans its edges nor enters the
-        # deleted right copy.  The searches see the double cover of
-        # g - removed without rebuilding the adjacency.
-        match[s] = s + n
-        match[s + n] = s
-    # A freed copy that is itself deleted is parked, so never searched.
-    ends = set(freed)
-    joined = False
-    for f in freed:
-        if match[f] == -1 and _augment(f, cover.nbrs, match, dead) in ends:
-            joined = True
-    if joined:
-        _hopcroft_karp(2 * n, cover.nbrs, [u for u in range(n)
-                                           if not gone >> u & 1],
-                       match=match)
-    return match[:n].count(-1)
+    if gone & gone - 1:
+        return critical_difference(delete_vertices(g, bits(gone))[0])
+    v = gone.bit_length() - 1
+    slack, comp, reach = cover.structure()
+    if slack[v]:
+        return cover.dc - 1
+    u = cover.match[v + g.n]
+    if not slack[u] and reach[comp[u]] >> v & 1:
+        return cover.dc
+    return cover.dc + 1
 
 
 class SubsetTable(NamedTuple):
@@ -375,18 +335,44 @@ def ker(g: Graph) -> VertexSet:
 
 
 def diadem(g: Graph) -> VertexSet:
-    """Union of all critical independent sets, by closed-neighborhood deletion.
+    """Union of all critical independent sets, read off the alternating
+    structure of the cached cover matching M (see `_alternating`).
 
-    The best difference among independent sets containing v is
-    1 - deg(v) + d_c(G - N[v]); v belongs to the diadem iff that value
-    attains d_c(G).
+    For a critical set X, the left copies outside X and the right copies
+    of N(X) form a minimum vertex cover of the double cover, and every
+    minimum cover arises so from exactly one critical X (Koenig).  If X
+    is critical, X - N(X) is a critical independent set (Larson, 2007),
+    so v is in the diadem iff some minimum cover misses both v and v + n.
+
+    A minimum cover holds one end of each pair of M and no exposed copy.
+    So the left copies it misses hold every slack copy, hold mate(r) for
+    every right neighbour r of each of them, and hold no copy with an
+    exposed right neighbour; each closed set of this kind is missed by a
+    minimum cover (Dulmage-Mendelsohn).  Hence:
+
+    * a slack v is in the diadem: some maximum matching misses both of
+      its copies (see `critical_difference`), and a minimum cover holds
+      only copies that every maximum matching covers;
+    * otherwise v + n is matched too, and the least such set holding v
+      is the slack copies plus the reach of v.  v is in the diadem iff
+      that reach holds no copy with an exposed right neighbour, and
+      neither it nor the slack copies hold u = mate(v + n), so that the
+      cover can take u instead of v + n.
     """
-    dc = critical_difference(g)
+    cover = _double_cover(g)
+    slack, comp, reach = cover.structure()
+    match = cover.match
+    n = g.n
+    blocked = sum(1 << x for x, rs in enumerate(cover.nbrs[:n])
+                  if any(match[r] == -1 for r in rs))
     members = []
-    for v in range(g.n):
-        closed = bits(g.adj[v] | 1 << v)
-        if 1 - g.degree(v) + critical_difference(g, closed) == dc:
-            members.append(v)
+    for v in range(n):
+        if not slack[v]:
+            below = reach[comp[v]]
+            u = match[v + n]
+            if below & blocked or slack[u] or below >> u & 1:
+                continue
+        members.append(v)
     return frozenset(members)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import LimitExceededError, PartitionError, PreconditionError
-from .graphs import Graph, VertexSet, bits
+from .graphs import Graph, VertexSet, bits, delete_vertices
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -90,19 +90,16 @@ def _matching_of_sides(adj: list[list[int]], match: list[int],
         for i in range(len(adj)) if match[i] != -1)))
 
 
-def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int],
-                   match: list[int] | None = None) -> list[int]:
+def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]
+                   ) -> list[int]:
     """Match array over all n vertices; -1 means unmatched.
 
-    With `match` given, that matching is augmented in place to a maximum
-    one instead of starting from the empty matching.  Only the vertices
-    listed in `left` are searched from; a right vertex is entered only
-    through its mate's `dist`, which the search sets for listed left
-    vertices alone.
+    Only the vertices listed in `left` are searched from; a right vertex
+    is entered only through its mate's `dist`, which the search sets for
+    listed left vertices alone.
     """
     INF = n + 1
-    if match is None:
-        match = [-1] * n
+    match = [-1] * n
     dist = [0] * n
     while True:
         queue = deque()
@@ -251,42 +248,33 @@ def max_matching_general(g: Graph) -> Matching:
 def mu(g: Graph, removed: Iterable[int] = ()) -> int:
     """Matching number of g - removed.
 
-    The maximum matching of g is computed once per graph and repaired: the
-    edges at removed vertices are dropped, the removed vertices are cut
-    out of their neighbours' adjacency lists, and the blossom search runs
-    from the vertices that lost their mates.  If no augmenting path found
-    there joins two such vertices, the repaired matching is maximum: an
-    augmenting path left between two other exposed vertices, with the
-    untouched edges of the old matching at the removed vertices, would
-    give g a matching larger than its maximum.  Otherwise the search
-    finishes the single pass over the remaining exposed vertices.
+    The maximum matching M of g is computed once per graph, and one
+    deleted vertex v is answered by repairing it.  If M misses v, M is
+    still maximum in g - v.  Otherwise the pair at v is dropped, v is cut
+    out of its neighbours' adjacency lists, and one blossom search runs
+    from its freed mate.  Every augmenting path left ends at that mate:
+    one between two other exposed vertices would augment M in g.
+
+    Several deleted vertices are answered from a fresh matching of
+    g - removed, an oracle route that no polynomial route here uses.
     """
     adj, base, size = _base_matching(g)
     gone = g.mask_of(removed)
     if not gone:
         return size
-    n = g.n
+    if gone & gone - 1:
+        return mu(delete_vertices(g, bits(gone))[0])
+    v = gone.bit_length() - 1
+    mate = base[v]
+    if mate == -1:
+        return size
     match = list(base)
+    match[v] = match[mate] = -1
     adj = list(adj)
-    freed = []
-    for s in bits(gone):
-        mate = match[s]
-        if mate != -1:
-            match[s] = match[mate] = -1
-            size -= 1
-            if not gone >> mate & 1:
-                freed.append(mate)
-        adj[s] = []
-    for w in bits(g.neighborhood_mask(gone) & ~gone):
-        adj[w] = [x for x in adj[w] if not gone >> x & 1]
-    found = _blossom(n, adj, match, freed)
-    # More freed vertices matched than paths found: some path ended at a
-    # second freed vertex.
-    if sum(1 for u in freed if match[u] != -1) > found:
-        skip = gone | g.mask_of(freed)
-        found += _blossom(n, adj, match,
-                          [v for v in range(n) if not skip >> v & 1])
-    return size + found
+    adj[v] = []
+    for w in bits(g.adj[v]):
+        adj[w] = [x for x in adj[w] if x != v]
+    return size - 1 + _blossom(g.n, adj, match, [mate])
 
 
 def max_matching_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> int:

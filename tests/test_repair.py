@@ -1,9 +1,14 @@
-"""Deletion queries answered by repairing one cached maximum matching.
+"""Deletion queries and structures read off one cached maximum matching.
 
-`critical_difference(g, removed)` and `mu(g, removed)` must agree with the
-same quantity computed from scratch on the graph G - removed, and the
-structures built on them (ker, diadem, the Gallai-Edmonds partition) must
-agree with the deletion route that builds every G - S as a fresh graph.
+`critical_difference(g, [v])` reads the alternating structure of the
+cached double-cover matching, and `mu(g, [v])` repairs the cached blossom
+matching; both must agree with the same quantity computed from scratch on
+the graph G - v.  Several deleted vertices are answered from a fresh
+graph, and must agree with the oracles as well.  `diadem` reads the same
+alternating structure, and each clause of its membership test is pinned
+on a small graph.  The structures built on these (ker, diadem, the
+Gallai-Edmonds partition) must agree with the deletion route that builds
+every G - S as a fresh graph.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critindep import (Graph, critical_difference, critical_difference_oracle,
-                       diadem, is_factor_critical, ker,
+                       diadem, diadem_oracle, is_factor_critical, ker,
                        max_matching_bruteforce, max_matching_general, mu)
 from critindep.critical import _double_cover
 from critindep.gallai_edmonds import gallai_edmonds
@@ -67,16 +72,65 @@ def test_single_deletion_gives_each_change(g, v, change):
     assert critical_difference_oracle(delete_vertices(g, [v])[0]) == dc + change
 
 
-def test_search_joining_two_freed_copies_needs_hopcroft_karp():
-    # A triangle 1-2-4 with a pendant at 1 and at 2.  The cached cover
-    # matching pairs 0 with 1 and 3 with 2 in both directions and leaves
-    # both copies of 4 exposed.  Deleting 0 and 3 frees both copies of 1
-    # and of 2, and their searches pair 1 and 2 with each other; only the
-    # resumed search then finds 4 - 1' = 2 - 4' between the two copies of
-    # 4 that were exposed all along.
-    g = Graph.build(5, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4)])
-    assert _double_cover(g).match == (6, 5, 8, 7, -1, 1, 0, 3, 2, -1)
-    assert critical_difference(g, [0, 3]) == 0
+@pytest.mark.parametrize("g, removed, dc, size", [
+    # A triangle 1-2-4 with a pendant at 1 and at 2; G - {0, 3} is the
+    # triangle.
+    (Graph.build(5, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 4)]), [0, 3], 0, 1),
+    # Pendants 0 at 2 and 1 at 3 of the path 4-2-3-5, which G - {0, 1} is.
+    (Graph.build(6, [(0, 2), (1, 3), (2, 3), (2, 4), (3, 5)]), [0, 1], 0, 2),
+], ids=["triangle-with-pendants", "path-with-pendants"])
+def test_several_deleted_vertices_match_the_oracles(g, removed, dc, size):
+    h, _ = delete_vertices(g, removed)
+    assert critical_difference(g, removed) == critical_difference_oracle(h)
+    assert critical_difference_oracle(h) == dc
+    assert mu(g, removed) == max_matching_bruteforce(h) == size
+
+
+def _blocked(cover, x: int) -> bool:
+    """Whether the left copy x of the cover has an exposed right
+    neighbour."""
+    return any(cover.match[r] == -1 for r in cover.nbrs[x])
+
+
+def test_diadem_drops_a_vertex_that_reaches_its_cover_mate():
+    g = cycle(3)
+    cover = _double_cover(g)
+    slack, comp, reach = cover.structure()
+    for v in range(g.n):
+        u = cover.match[v + g.n]
+        assert not slack[v] and not slack[u] and reach[comp[v]] >> u & 1
+    assert diadem(g) == diadem_oracle(g) == frozenset()
+
+
+def test_diadem_drops_the_centre_of_p3():
+    # Its cover mate is a slack leaf, and its own left copy has an exposed
+    # right neighbour.
+    g = path(3)
+    cover = _double_cover(g)
+    slack, comp, reach = cover.structure()
+    assert not slack[1] and slack[cover.match[1 + g.n]]
+    assert any(_blocked(cover, x) for x in bits(reach[comp[1]]))
+    assert diadem(g) == diadem_oracle(g) == {0, 2}
+
+
+def test_diadem_takes_a_vertex_whose_right_copy_is_exposed():
+    # Two leaves of K1,3 have exposed right copies in any maximum
+    # matching of the cover; the mirror makes their left copies slack.
+    g = star(3)
+    cover = _double_cover(g)
+    slack = cover.structure().slack
+    exposed = {v for v in range(g.n) if cover.match[v + g.n] == -1}
+    assert len(exposed) == 2 and all(slack[v] for v in exposed)
+    assert exposed < diadem(g) == diadem_oracle(g) == {1, 2, 3}
+
+
+def test_diadem_takes_a_vertex_whose_cover_mate_lies_outside_its_reach():
+    g = path(4)
+    cover = _double_cover(g)
+    slack, comp, reach = cover.structure()
+    assert not any(slack) and not any(_blocked(cover, x) for x in range(g.n))
+    assert not reach[comp[1]] >> cover.match[1 + g.n] & 1
+    assert diadem(g) == diadem_oracle(g) == {0, 1, 2, 3}
 
 
 def test_repairs_match_fresh_covers_on_sparse_random_graphs():
@@ -84,19 +138,10 @@ def test_repairs_match_fresh_covers_on_sparse_random_graphs():
     for n in range(20, 81, 10):
         g = Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                             if rng.random() < 3 / n])
-        for _ in range(60):
-            removed = rng.sample(range(n), rng.randint(1, 6))
-            h, _ = delete_vertices(g, removed)
-            assert critical_difference(g, removed) == critical_difference(h)
-
-
-def test_search_joining_two_freed_vertices_needs_the_second_pass():
-    # The cached matching is {0-2, 1-3}.  Deleting 0 and 1 frees 2 and 3,
-    # whose search pairs them with each other; 4-2=3-5 then augments
-    # between two vertices that were exposed all along.
-    g = Graph.build(6, [(0, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
-    assert max_matching_general(g).edges == ((0, 2), (1, 3))
-    assert mu(g, [0, 1]) == 2
+        for v in range(n):
+            h, _ = delete_vertices(g, [v])
+            assert critical_difference(g, [v]) == critical_difference(h)
+            assert mu(g, [v]) == mu(h)
 
 
 def _ker_by_deletion(g: Graph) -> frozenset[int]:
@@ -150,7 +195,7 @@ def _partition_fields(g: Graph) -> tuple:
 
 def test_structures_match_the_deletion_route_on_random_graphs():
     rng = random.Random(20170111)
-    for n in range(20, 121, 20):
+    for n in (*range(20, 121, 20), 300):
         for degree in (1.0, 2.5, 4.0):
             g = Graph.build(n, [(u, v) for u in range(n)
                                 for v in range(u + 1, n)
