@@ -44,7 +44,8 @@ independence flag as one byte for each of the 2^n masks X, built by
 doubling over the vertices with `bytes.translate` and big-integer
 operations rather than one Python step per mask.  The inclusion-minimal
 positive sets come from the same table by a subset-OR closure on a big
-integer with one byte per mask.
+integer with one byte per mask; `is_supermodular` decides whether d is
+supermodular by one shifted big-integer marginal per vertex.
 """
 
 from __future__ import annotations
@@ -248,6 +249,7 @@ class SubsetTable(NamedTuple):
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
 _PLUS_ONE = bytes(range(1, 256)) + bytes(1)
 _POSITIVE = bytes(1) + bytes([1]) * 127 + bytes(128)  # signed byte > 0
+_PLUS_32 = bytes((b + 32) & 0xFF for b in range(256))  # signed byte + 32
 _BIT_CLEAR = tuple(bytes(1 - (b >> k & 1) for b in range(256))
                    for k in range(8))
 
@@ -260,6 +262,14 @@ def _or_table(c: int) -> bytes:
 
 def _big(data: bytes) -> int:
     return int.from_bytes(data, "little")
+
+
+def _lane(size: int, v: int, without: int = 0, holding: int = 1) -> int:
+    """One byte per mask X below `size`: `holding` where X holds vertex v,
+    `without` elsewhere, in alternating runs of 2^v bytes."""
+    half = 1 << v
+    return _big((bytes([without]) * half + bytes([holding]) * half)
+                * (size >> v + 1))
 
 
 def _subset_table(g: Graph) -> SubsetTable:
@@ -413,22 +423,43 @@ def enumerate_minimal_positive_sets(
     size = len(dtab)
     positive = _big(array("b", dtab).tobytes().translate(_POSITIVE))
     n = size.bit_length() - 1
-
-    def lane(v: int) -> int:
-        """1 at the masks that hold v: runs of 2^v zeros, then of 2^v ones."""
-        half = 1 << v
-        return _big((bytes(half) + bytes([1]) * half) * (size >> v + 1))
-
     below = positive
     for v in range(n):
-        below |= below << (8 << v) & lane(v)
+        below |= below << (8 << v) & _lane(size, v)
     proper = 0
     for v in range(n):
-        proper |= below << (8 << v) & lane(v)
+        proper |= below << (8 << v) & _lane(size, v)
     minimal = (positive & ~proper).to_bytes(size, "little")
     out = [set_of(mask) for mask in _positions(minimal)]
     out.sort(key=sorted)
     return out
+
+
+def is_supermodular(dtab: Sequence[int]) -> bool:
+    """Whether d(X | Y) + d(X & Y) >= d(X) + d(Y) for all masks X and Y,
+    decided in the local form d(X+i+j) - d(X+j) >= d(X+i) - d(X) at every
+    mask X and pair i < j outside it.
+
+    With byte X of the big integer T = d(X) + 32, byte X of
+    (T >> 2^i bytes) + 64 - T is the marginal d(X+i) - d(X) + 64 where X
+    lacks i.  For j > i, that marginal shifted by 2^j bytes, plus 128,
+    minus the marginal keeps its high bit at X iff the local inequality
+    holds; a 0x80 lane selects the X lacking i and j.  No byte borrows
+    while the entries lie in -32..31, as d does on n <= 31 vertices.
+    """
+    size = len(dtab)
+    n = size.bit_length() - 1
+    table = _big(array("b", dtab).tobytes().translate(_PLUS_32))
+    high = _big(b"\x80" * size)
+    for i in range(n):
+        marginal = (table >> (8 << i)) + (high >> 1) - table
+        rise = high - marginal
+        free = _lane(size, i, 0x80, 0)
+        for j in range(i + 1, n):
+            lane = free & _lane(size, j, 0x80, 0)
+            if ((marginal >> (8 << j)) + rise) & lane != lane:
+                return False
+    return True
 
 
 def max_subset_difference(g: Graph, s: Iterable[int]) -> int:

@@ -75,8 +75,8 @@ def analyze(g: Graph, limits: Limits = Limits(), source: bytes = b"",
     }
     report["critical"] = critical
 
-    if ctx.alpha is not None:
-        report["ke_status"] = ctx.alpha + ctx.mu == g.n
+    if ctx.ke is not None:
+        report["ke_status"] = ctx.ke
     else:
         report["ke_status"] = "unknown (limit)"
         skipped["ke_status"] = (
@@ -119,14 +119,14 @@ def _unicyclic_block(ctx: GraphContext,
             return {"connected": True, "verdict": "KE"}
         return {"connected": True, "verdict": "non-KE",
                 "coloring": cu.coloring_dict()}
-    if ctx.alpha is None:
+    if ctx.ke is None:
         skipped["unicyclic.verdict"] = (
             f"n={g.n} exceeds exact limit {ctx.limits.alpha_exact}")
         return {"connected": False, "verdict": "unknown (limit)"}
-    if ctx.alpha + ctx.mu == g.n:
+    if ctx.ke:
         return {"connected": False, "verdict": "KE"}
-    stats = uc.disconnected_invariants(g, ctx.limits.alpha_exact)
-    return {"connected": False, "verdict": "non-KE", "invariants": stats}
+    return {"connected": False, "verdict": "non-KE",
+            "invariants": ctx.disconnected_unicyclic}
 
 
 def render_text(report: dict) -> str:

@@ -4,6 +4,7 @@ a deterministic sweep runner that emits counterexample certificates.
 Every check returns True (pass), False (fail) or None (skipped: the
 precondition is absent or an exact-computation limit was exceeded).  All
 polynomial algorithms are held against independent exhaustive oracles.
+No check samples; the seed only orders `unicyclic_roundtrip`'s reduction.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import comb
 
 from . import critical as cr
 from . import gallai_edmonds as ge
@@ -26,7 +26,6 @@ from .graphs import (Graph, bits, connected_components,
 
 # Fixed sizes of single oracle checks; the settable ones are in Limits.
 PAIR_SUBSET_LIMIT = 10      # all-pairs checks over critical sets
-SUPERMOD_PAIRS = 10_000     # theorem_2_3 comparisons
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,23 @@ class GraphContext:
         return mt.mu(self.g)
 
     @cached_property
+    def ke(self) -> bool | None:
+        """alpha + mu == n (Koenig-Egervary), within the alpha limit."""
+        if self.alpha is None:
+            return None
+        return self.alpha + self.mu == self.g.n
+
+    @cached_property
+    def disconnected_unicyclic(self) -> dict | None:
+        """`uc.disconnected_invariants` of a disconnected unicyclic non-KE
+        graph within the alpha limit, else None."""
+        g = self.g
+        if (len(connected_components(g)) < 2
+                or cycle_space_dimension(g) != 1 or self.ke is not False):
+            return None
+        return uc.disconnected_invariants(g, self.limits.alpha_exact)
+
+    @cached_property
     def core(self):
         if self.g.n > self.limits.omega:
             return None
@@ -194,38 +210,11 @@ def check_theorem_2_2(ctx: GraphContext):
 
 
 def check_supermodularity(ctx: GraphContext):
-    """d is supermodular: d(X | Y) + d(X & Y) >= d(X) + d(Y).
-
-    On the subset lattice the all-pairs inequality is equivalent to its
-    local form d(X+i) + d(X+j) <= d(X+i+j) + d(X) for every X and every
-    pair i < j outside X, which takes C(n,2) * 2^(n-2) comparisons.  The
-    local form is checked exhaustively when that count is within
-    SUPERMOD_PAIRS; otherwise that many random pairs (X, Y) of the
-    all-pairs form are checked.
-    """
-    d = ctx.dtab
-    if d is None:
+    """d is supermodular, decided at every pair of subsets by one bulk
+    pass over the table."""
+    if ctx.dtab is None:
         return None
-    n = ctx.g.n
-    pairs = SUPERMOD_PAIRS
-    if n < 2 or comb(n, 2) << (n - 2) <= pairs:
-        singles = [1 << i for i in range(n)]
-        for x in range(1 << n):
-            dx = d[x]
-            free = [b for b in singles if not x & b]
-            for a, bi in enumerate(free):
-                xi = x | bi
-                dxi = d[xi] - dx
-                for bj in free[a + 1:]:
-                    if dxi + d[x | bj] > d[xi | bj]:
-                        return False
-        return True
-    draw = random.Random(ctx.seed).getrandbits
-    for _ in range(pairs):
-        x, y = draw(n), draw(n)
-        if d[x] + d[y] > d[x | y] + d[x & y]:
-            return False
-    return True
+    return cr.is_supermodular(ctx.dtab)
 
 
 def check_bipartite_ker_equals_core(ctx: GraphContext):
@@ -439,30 +428,12 @@ def check_black_in_some_mis(ctx: GraphContext):
 
 
 def check_red_saturated(ctx: GraphContext):
-    """Every maximum matching covers all red vertices (checked on the
-    deterministic matching plus randomized-relabeling restarts)."""
+    """Every maximum matching covers the red vertices: red misses the
+    Gallai-Edmonds set D, the vertices some maximum matching misses."""
     cu = ctx.colored
     if cu is None:
         return None
-    g = cu.graph
-    rng = random.Random(ctx.seed)
-    for attempt in range(4):
-        if attempt == 0:
-            matching = mt.max_matching_general(g)
-        else:
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            relabeled = Graph.build(
-                g.n, [(perm[u], perm[v]) for u, v in g.edges])
-            inv = [0] * g.n
-            for i, p in enumerate(perm):
-                inv[p] = i
-            m = mt.max_matching_general(relabeled)
-            back = [tuple(sorted((inv[u], inv[v]))) for u, v in m.edges]
-            matching = mt.Matching(tuple(sorted(back)))
-        if not cu.red <= matching.covered():
-            return False
-    return True
+    return not cu.red & ge.gallai_edmonds(cu.graph).d_set
 
 
 def check_red_black_matching(ctx: GraphContext):
@@ -521,12 +492,9 @@ def check_leaf_step_count(ctx: GraphContext):
 def check_conjecture_1_3(ctx: GraphContext):
     """Disconnected unicyclic non-KE: d_c = alpha - mu, additively over
     parts."""
-    g = ctx.g
-    if len(connected_components(g)) < 2 or cycle_space_dimension(g) != 1:
+    report = ctx.disconnected_unicyclic
+    if report is None:
         return None
-    if ctx.alpha is None or ctx.alpha + ctx.mu == g.n:
-        return None
-    report = uc.disconnected_invariants(g, ctx.limits.alpha_exact)
     return all(report["checks"].values())
 
 

@@ -353,9 +353,34 @@ class TestConverseAndCriticality:
         assert run_check(ctx, "theorem_3_2") == "fail"
 
 
+def locally_supermodular(d, n: int) -> bool:
+    """The local form of supermodularity, d(X+i) + d(X+j) <= d(X+i+j) +
+    d(X), by a loop over every mask X and every pair i < j outside it."""
+    singles = [1 << i for i in range(n)]
+    for x in range(1 << n):
+        dx = d[x]
+        free = [b for b in singles if not x & b]
+        for a, bi in enumerate(free):
+            xi = x | bi
+            dxi = d[xi] - dx
+            for bj in free[a + 1:]:
+                if dxi + d[x | bj] > d[xi | bj]:
+                    return False
+    return True
+
+
+def raise_entry(ctx: GraphContext, x: int) -> None:
+    """Raise d(x) by one in ctx's table, and require that this breaks the
+    local inequality at some X = x - i and j outside x."""
+    d = ctx.dtab = list(ctx.dtab)
+    d[x] += 1
+    assert any(d[x | 1 << j] + d[x ^ 1 << i] < d[x] + d[x ^ 1 << i | 1 << j]
+               for i in bits(x) for j in range(ctx.g.n) if not x >> j & 1)
+
+
 class TestSupermodularity:
-    """theorem_2_3 checks the local form exhaustively up to n = 9 and
-    samples pairs of subsets from n = 10 on."""
+    """theorem_2_3 decides the local form exactly at every n by one bulk
+    pass over the subset table (`critical.is_supermodular`)."""
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_tampered_table_fails(self, n):
@@ -366,11 +391,31 @@ class TestSupermodularity:
                     for x, d in enumerate(ctx.dtab)]
         assert run_check(ctx, "theorem_2_3") == "fail"
 
-    def test_exhaustive_branch_finds_one_bad_entry(self):
+    def test_finds_one_bad_entry(self):
         ctx = GraphContext(path(9))
         ctx.dtab = list(ctx.dtab)
         ctx.dtab[0b101000110] += 1
         assert run_check(ctx, "theorem_2_3") == "fail"
+
+    @pytest.mark.parametrize("n, seed, x", [
+        (10, 22, 136), (12, 1, 3264), (14, 1, 13053), (16, 0, 50945)])
+    def test_one_raised_entry_fails_at_every_size(self, n, seed, x):
+        # Few pairs (X, Y) break these tables, so a sample of 10,000
+        # random pairs drawn at seed 0 misses each of them.
+        ctx = GraphContext(random_gnp(n, 0.3, random.Random(seed)))
+        assert run_check(ctx, "theorem_2_3") == "pass"
+        raise_entry(ctx, x)
+        assert run_check(ctx, "theorem_2_3") == "fail"
+
+    def test_verdicts_do_not_depend_on_the_seed(self):
+        g = random_gnp(10, 0.3, random.Random(22))
+        verdicts = []
+        for seed in (0, 1):
+            ctx = GraphContext(g, seed=seed)
+            raise_entry(ctx, 136)
+            verdicts.append(run_graph_checks(ctx))
+        assert verdicts[0]["theorem_2_3"] == "fail"
+        assert verdicts[0] == verdicts[1]
 
     @settings(max_examples=150)
     @given(g=graphs(max_n=5), data=st.data())
@@ -384,6 +429,15 @@ class TestSupermodularity:
                          for a in range(len(d)) for b in range(len(d)))
         assert run_check(ctx, "theorem_2_3") == ("pass" if everywhere
                                                   else "fail")
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs(max_n=10), data=st.data())
+    def test_agrees_with_the_local_loop(self, g, data):
+        d = list(difference_table(g).d)
+        for _ in range(data.draw(st.integers(0, 2))):
+            x = data.draw(st.integers(0, len(d) - 1))
+            d[x] += data.draw(st.integers(-2, 2))
+        assert critical.is_supermodular(d) == locally_supermodular(d, g.n)
 
 
 class TestProfile:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,10 @@ from critindep import (BuildScript, Graph, LimitExceededError,
                        critical_difference, disconnected_invariants, generate,
                        generate_random, is_ke, mu, parse_script, recognize,
                        script_to_text)
+from critindep import independence, reports, unicyclic
+from critindep.verification import GraphContext, run_graph_checks
 from common import (c3_with_pendant, coloring_from_json, cycle,
-                    figure2_script, path)
+                    figure2_script, path, run_check)
 
 
 class TestGenerate:
@@ -162,6 +166,65 @@ class TestDisconnectedInvariants:
         with pytest.raises(LimitExceededError):
             disconnected_invariants(g, limit=6)
         assert all(disconnected_invariants(g, limit=7)["checks"].values())
+
+
+    def test_one_invariants_report_per_analyze(self, monkeypatch):
+        # A triangle with the pendant path 2-3-4, plus the edge 5-6: alpha
+        # runs once for the graph and four times inside the one report.
+        g = Graph.build(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (5, 6)])
+        runs = {"invariants": 0, "alpha": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                runs[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(unicyclic, "disconnected_invariants",
+                            counted("invariants", disconnected_invariants))
+        counted_alpha = counted("alpha", alpha)
+        monkeypatch.setattr(unicyclic, "alpha", counted_alpha)
+        monkeypatch.setattr(independence, "alpha", counted_alpha)
+        report = reports.analyze(g)
+        assert runs == {"invariants": 1, "alpha": 5}
+        assert report["ke_status"] is False
+        assert report["unicyclic"]["verdict"] == "non-KE"
+        assert all(report["unicyclic"]["invariants"]["checks"].values())
+        assert report["checks"]["conjecture_1_3"] == "pass"
+
+
+def red_holding_a_d_vertex():
+    """A triangle 0-1-2 with the path 1-3-4 and the leaf 5 on 3, and its
+    coloring with 1 added to red.  The maximum matching {0, 2}, {3, 4}
+    misses 1, so 1 lies in the Gallai-Edmonds set D."""
+    cu = generate(BuildScript(cycle_length=3,
+                              steps=(("p2", 1), ("leaf", 3))))
+    return cu, dataclasses.replace(cu, red=cu.red | {1})
+
+
+class TestRedSaturated:
+    def test_generated_coloring_passes(self):
+        cu, _ = red_holding_a_d_vertex()
+        assert run_check(GraphContext(cu.graph, colored=cu),
+                         "theorem_4_4") == "pass"
+
+    def test_red_d_vertex_fails(self):
+        # The maximum matching {0, 1}, {3, 4} covers 1, so a check that
+        # samples maximum matchings can miss this D vertex.
+        cu, bad = red_holding_a_d_vertex()
+        assert run_check(GraphContext(cu.graph, colored=bad),
+                         "theorem_4_4") == "fail"
+
+    def test_verdicts_do_not_depend_on_the_seed(self):
+        cu, bad = red_holding_a_d_vertex()
+        verdicts = []
+        for seed in (0, 1):
+            statuses = run_graph_checks(
+                GraphContext(cu.graph, seed=seed, colored=bad))
+            del statuses["unicyclic_roundtrip"]
+            verdicts.append(statuses)
+        assert verdicts[0]["theorem_4_4"] == "fail"
+        assert verdicts[0] == verdicts[1]
 
 
 class TestScriptFormat:
