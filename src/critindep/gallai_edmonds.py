@@ -2,10 +2,10 @@
 checks of its clauses.
 
 D is computed from its definition, one matching number per vertex (v is
-in D iff deleting v does not lower the matching number), not read off the
-final blossom forest.  Each of these n numbers repairs the one maximum
-matching `mu` caches for the graph: the removed vertex's matching edge is
-dropped and the blossom search runs from its former mate.
+in D iff deleting v does not lower the matching number).  Each of these n
+numbers is read off the alternating forest that the maximum matching `mu`
+caches for the graph grows from its exposed vertices, and so is each
+factor-critical flag of a component of G[D].
 
 The partition is built once per graph and kept in a small cache, so the
 report and every check that reads it share one frozen copy.
@@ -53,25 +53,17 @@ def gallai_edmonds(g: Graph) -> GallaiEdmondsPartition:
 @lru_cache(maxsize=4)
 def _partition(g: Graph) -> GallaiEdmondsPartition:
     base = mu(g)
-    d_members = []
-    for v in range(g.n):
-        if mu(g, [v]) == base:
-            d_members.append(v)
-    d_set = frozenset(d_members)
+    d_set = frozenset(v for v in range(g.n) if mu(g, [v]) == base)
     a_set = neighborhood(g, d_set) - d_set
     c_set = frozenset(range(g.n)) - d_set - a_set
-    comps = []
-    for comp_of_sub in _d_components(g, d_set):
-        sub, _ = induced_subgraph(g, comp_of_sub)
-        comps.append((comp_of_sub, is_factor_critical(sub)))
-    return GallaiEdmondsPartition(d_set=d_set, a_set=a_set, c_set=c_set,
-                                  d_components=tuple(comps))
-
-
-def _d_components(g: Graph, d_set: VertexSet) -> list[VertexSet]:
+    # Each component is cut out of G[D]: relabelling keeps the order, so
+    # it is the same graph as when cut out of g, from fewer edges.
     sub, labels = induced_subgraph(g, d_set)
-    return [frozenset(labels[v] for v in comp)
-            for comp in connected_components(sub)]
+    comps = tuple((frozenset(labels[v] for v in comp),
+                   is_factor_critical(induced_subgraph(sub, comp)[0]))
+                  for comp in connected_components(sub))
+    return GallaiEdmondsPartition(d_set=d_set, a_set=a_set, c_set=c_set,
+                                  d_components=comps)
 
 
 def missed_vertices_oracle(g: Graph,

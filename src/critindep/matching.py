@@ -8,6 +8,11 @@ Hopcroft-Karp.  The double cover, the S-versus-N(S) matchings and the
 matchings between two vertex sets are all such matchings.  The general
 matching of a graph is computed once and cached by `_base_matching`.
 
+One blossom-contraction routine, `_grow`, finds the augmenting paths
+and grows the forest of the cached matching from all its exposed
+vertices; the forest's even vertices are the Gallai-Edmonds set D, so
+mu(G - v) is a lookup (Edmonds; Lovasz-Plummer, Matching Theory, ch. 3).
+
 Witness matchings are valid and maximum but not canonical; callers must
 assert only size and validity.  Tie-breaking everywhere is lowest-vertex
 first so repeated runs are reproducible.
@@ -16,7 +21,7 @@ first so repeated runs are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,93 +143,89 @@ def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]
     return match
 
 
-def _blossom(n: int, adj: list[list[int]], match: list[int],
-             roots: Iterable[int]) -> int:
-    """Augment `match` in place by one blossom-contraction search from each
-    root that is still exposed when its turn comes; return the number of
-    augmentations.
-
-    A single pass over the exposed vertices yields a maximum matching: a
-    vertex with no augmenting path keeps having none after augmentations
-    elsewhere (Edmonds), and a matched vertex stays matched.
-    """
-    p = [-1] * n
+def _grow(adj: list[list[int]], match: Sequence[int],
+          roots: list[int]) -> tuple[int, list[int], bytearray]:
+    """Grow the alternating forest of `match` breadth first from the
+    exposed `roots`, contracting blossoms; return the first exposed vertex
+    outside it that an even vertex reaches (-1 if none), the parent links
+    back to its root and the even flags.  An edge joining two trees closes
+    an augmenting path: that raises.  Each base keeps its members, so a
+    contraction relabels only the blossoms it merges; members turning even
+    are queued in ascending order, as a scan of all n vertices would."""
+    n = len(adj)
+    parent = [-1] * n
     base = list(range(n))
+    even = bytearray(n)
+    members: dict[int, list[int]] = {}
+    queue = deque(roots)
+    for r in roots:
+        even[r] = 1
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if even[to]:
+                # The blossom's base: the first base on to's path to its
+                # root that v's path passes too.
+                a = base[v]
+                above = {a}
+                while match[a] != -1:
+                    a = base[parent[match[a]]]
+                    above.add(a)
+                cur = base[to]
+                while cur not in above:
+                    if match[cur] == -1:
+                        raise RuntimeError(
+                            f"edge ({v},{to}) joins two alternating trees: "
+                            "the matching is not maximum")
+                    cur = base[parent[match[cur]]]
+                merged = set()
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != cur:
+                        merged.update((base[x], base[match[x]]))
+                        parent[x] = child
+                        child = match[x]
+                        x = parent[child]
+                group = members.setdefault(cur, [cur])
+                fresh = []
+                for b in merged:
+                    for x in members.pop(b, [b]):
+                        base[x] = cur
+                        group.append(x)
+                        if not even[x]:
+                            even[x] = 1
+                            fresh.append(x)
+                queue.extend(sorted(fresh))
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    return to, parent, even
+                even[match[to]] = 1
+                queue.append(match[to])
+    return -1, parent, even
 
-    def lca(a: int, b: int) -> int:
-        used = [False] * n
-        while True:
-            a = base[a]
-            used[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if used[b]:
-                return b
-            b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def find_path(root: int) -> bool:
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, cur, to, blossom)
-                    mark_path(to, cur, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = p[u]
-                            nxt = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = nxt
-                        return True
-                    if not used[match[to]]:
-                        used[match[to]] = True
-                        queue.append(match[to])
-        return False
-
-    augmented = 0
-    for v in roots:
-        if match[v] == -1 and find_path(v):
-            augmented += 1
-    return augmented
+def _blossom(adj: list[list[int]], match: list[int]) -> None:
+    """Augment `match` in place to a maximum matching by one search from
+    each vertex still exposed in turn: a vertex with no augmenting path
+    keeps having none after augmentations elsewhere (Edmonds)."""
+    for root in range(len(adj)):
+        if match[root] == -1:
+            u, parent, _ = _grow(adj, match, [root])
+            while u != -1:
+                w = parent[u]
+                nxt = match[w]
+                match[u] = w
+                match[w] = u
+                u = nxt
 
 
 @lru_cache(maxsize=4)
 def _base_matching(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
     """Adjacency lists of g, one maximum matching and its size, shared by
     every `mu` and `max_matching_general` call on g: a greedy warm start,
-    then one blossom pass over every vertex.  The lists are shared too:
-    callers copy before they change anything."""
+    then one blossom pass unless g has no edge."""
     n = g.n
     adj = [list(bits(g.adj[v])) for v in range(n)]
     match = [-1] * n
@@ -235,8 +236,18 @@ def _base_matching(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
                     match[u] = v
                     match[v] = u
                     break
-    _blossom(n, adj, match, range(n))
+    if g.edges:
+        _blossom(adj, match)
     return adj, tuple(match), sum(1 for v in match if v != -1) // 2
+
+
+@lru_cache(maxsize=4)
+def _even_vertices(g: Graph) -> int:
+    """Bitmask of the even vertices of the forest that g's cached maximum
+    matching grows from all its exposed vertices: the set D."""
+    adj, match, _ = _base_matching(g)
+    _, _, even = _grow(adj, match, [v for v in range(g.n) if match[v] == -1])
+    return sum(1 << v for v in range(g.n) if even[v])
 
 
 def max_matching_general(g: Graph) -> Matching:
@@ -249,32 +260,30 @@ def mu(g: Graph, removed: Iterable[int] = ()) -> int:
     """Matching number of g - removed.
 
     The maximum matching M of g is computed once per graph, and one
-    deleted vertex v is answered by repairing it.  If M misses v, M is
-    still maximum in g - v.  Otherwise the pair at v is dropped, v is cut
-    out of its neighbours' adjacency lists, and one blossom search runs
-    from its freed mate.  Every augmenting path left ends at that mate:
-    one between two other exposed vertices would augment M in g.
+    deleted vertex v is read off the forest that M grows from all its
+    exposed vertices (see `_grow`).  mu(G - v) is mu when some maximum
+    matching misses v and mu - 1 otherwise, and one does iff v is even:
+
+    * an even vertex ends an even alternating path from a root, through
+      blossoms on whichever side it needs, and flipping M along it
+      misses v;
+    * once the forest stops growing, each edge at an even vertex ends at
+      an odd vertex or in its own blossom, since one into another tree
+      would augment M.  So the odd vertices split off the outermost
+      blossoms as odd components, one more per tree than odd vertices:
+      a Tutte-Berge barrier, and every maximum matching covers the odd
+      and unlabelled vertices.
 
     Several deleted vertices are answered from a fresh matching of
     g - removed, an oracle route that no polynomial route here uses.
     """
-    adj, base, size = _base_matching(g)
+    size = _base_matching(g)[2]
     gone = g.mask_of(removed)
     if not gone:
         return size
     if gone & gone - 1:
         return mu(delete_vertices(g, bits(gone))[0])
-    v = gone.bit_length() - 1
-    mate = base[v]
-    if mate == -1:
-        return size
-    match = list(base)
-    match[v] = match[mate] = -1
-    adj = list(adj)
-    adj[v] = []
-    for w in bits(g.adj[v]):
-        adj[w] = [x for x in adj[w] if x != v]
-    return size - 1 + _blossom(g.n, adj, match, [mate])
+    return size - 1 + (_even_vertices(g) >> gone.bit_length() - 1 & 1)
 
 
 def max_matching_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> int:

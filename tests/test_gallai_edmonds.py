@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 import critindep.gallai_edmonds as ge
+import critindep.matching as mt
 from critindep import (Graph, GallaiEdmondsPartition, LimitExceededError,
                        check_theorem_53, ker, reports)
 from critindep.gallai_edmonds import gallai_edmonds, missed_vertices_oracle
@@ -59,6 +62,49 @@ class TestPartition:
         for u, v in g.edges:
             assert not ((u in p.d_set and v in p.c_set)
                         or (v in p.d_set and u in p.c_set))
+
+    @pytest.mark.parametrize("g, d_set", [
+        # Root 6 is exposed; 6-0=1 reaches the triangle 1-2=3, contracted
+        # first, and 3-4=5-6 then closes an odd cycle around it.
+        (Graph.build(7, [(0, 1), (0, 6), (1, 2), (1, 3), (2, 3), (3, 4),
+                         (4, 5), (5, 6)]), frozenset(range(7))),
+        # Root 4 is exposed; the triangle 1-2=3 hangs below odd vertex 0.
+        (Graph.build(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)]),
+         frozenset({1, 2, 3, 4})),
+    ], ids=["nested-blossom", "blossom-below-an-odd-vertex"])
+    def test_forest_blossoms_match_the_oracle(self, g, d_set):
+        # The greedy warm start is already maximum and leaves only the
+        # root exposed, so the forest is the tree the comments describe.
+        match = mt._base_matching(g)[1]
+        assert [v for v in range(g.n) if match[v] == -1] == [g.n - 1]
+        assert gallai_edmonds(g).d_set == missed_vertices_oracle(g) == d_set
+        base = mt.mu(g)
+        assert [mt.mu(g, [v]) for v in range(g.n)] == [
+            base - (v not in d_set) for v in range(g.n)]
+
+    def test_one_blossom_pass_per_graph(self, monkeypatch):
+        # One pass for g and one per component of G[D] with an edge; the
+        # mu(G - v) queries all read the forest.  n = 300 and seed 19 give
+        # two such components, of 3 and 47 vertices.
+        rng = random.Random(19)
+        n = 300
+        g = Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 3 / n])
+        calls = []
+        counted = mt._blossom
+
+        def blossom(adj, match):
+            calls.append(len(adj))
+            return counted(adj, match)
+
+        monkeypatch.setattr(mt, "_blossom", blossom)
+        for cache in (ge._partition, mt._base_matching, mt._even_vertices):
+            cache.cache_clear()
+        p = gallai_edmonds(g)
+        sizes = sorted(len(comp) for comp, _ in p.d_components
+                       if len(comp) > 1)
+        assert sizes == [3, 47]
+        assert sorted(calls) == [*sizes, n]
 
     def test_oracle_limit(self):
         with pytest.raises(LimitExceededError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
+import critindep.matching as mt
 from critindep import (LimitExceededError, PartitionError, PreconditionError,
                        has_perfect_matching, is_factor_critical,
                        matching_from_into, max_matching_bipartite,
@@ -86,6 +87,26 @@ class TestGeneralMatching:
         for v in range(g.n):
             h, _ = delete_vertices(g, [v])
             assert mu(h) in (base, base - 1)
+
+    @settings(max_examples=200)
+    @given(g=graphs(max_n=12))
+    def test_every_single_deletion_matches_the_oracle(self, g):
+        for v in range(g.n):
+            h, _ = delete_vertices(g, [v])
+            assert mu(g, [v]) == max_matching_bruteforce(h)
+
+    def test_forest_raises_on_a_matching_that_is_not_maximum(
+            self, monkeypatch):
+        # P4 with only its middle edge matched: the trees grown from the
+        # two exposed ends meet across the edge 2-3.
+        g = path(4)
+        fake = ([[1], [0, 2], [1, 3], [2]], (-1, 2, 1, -1), 1)
+        monkeypatch.setattr(mt, "_base_matching", lambda h: fake)
+        mt._even_vertices.cache_clear()
+        with pytest.raises(RuntimeError, match="not maximum"):
+            mu(g, [1])
+        monkeypatch.undo()
+        assert mu(g, [1]) == 1
 
     def test_brute_force_limit(self):
         with pytest.raises(LimitExceededError):

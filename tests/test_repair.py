@@ -1,9 +1,10 @@
 """Deletion queries and structures read off one cached maximum matching.
 
 `critical_difference(g, [v])` reads the alternating structure of the
-cached double-cover matching, and `mu(g, [v])` repairs the cached blossom
-matching; both must agree with the same quantity computed from scratch on
-the graph G - v.  Several deleted vertices are answered from a fresh
+cached double-cover matching, and `mu(g, [v])` reads the alternating
+forest that the cached blossom matching grows from its exposed vertices;
+both must agree with the same quantity computed from scratch on the
+graph G - v.  Several deleted vertices are answered from a fresh
 graph, and must agree with the oracles as well.  `diadem` reads the same
 alternating structure, and each clause of its membership test is pinned
 on a small graph.  The structures built on these (ker, diadem, the
