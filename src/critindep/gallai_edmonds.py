@@ -2,10 +2,12 @@
 checks of its clauses.
 
 D is computed from its definition, one matching number per vertex (v is
-in D iff deleting v does not lower the matching number).  Each of these n
-numbers is read off the alternating forest that the maximum matching `mu`
-caches for the graph grows from its exposed vertices, and so is each
-factor-critical flag of a component of G[D].
+in D iff deleting v does not lower the matching number).  The maximum
+matching of the graph comes from passes of one alternating forest grown
+from every exposed vertex; the last pass flips nothing, and each of these
+n numbers is read off its even vertices.  Each factor-critical flag of a
+component of G[D] reads that component's own last pass: odd order, one
+vertex left exposed, and every vertex even.
 
 The partition is built once per graph and kept in a small cache, so the
 report and every check that reads it share one frozen copy.

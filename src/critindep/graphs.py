@@ -16,6 +16,10 @@ from .errors import FormatError, InvalidVertexError, NotUnicyclicError
 
 VertexSet = frozenset[int]
 
+# The largest n that graph6's 4-byte size field holds; an edge-list header
+# beyond it is rejected before any per-vertex array is allocated.
+MAX_VERTICES = 258047
+
 
 def bits(mask: int):
     """Iterate over the set bit positions of a mask, ascending."""
@@ -232,6 +236,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise FormatError("non-integer header", lineno) from None
             if n < 0:
                 raise FormatError(f"negative vertex count {n}", lineno)
+            if n > MAX_VERTICES:
+                raise FormatError(
+                    f"vertex count {n} exceeds the limit {MAX_VERTICES}",
+                    lineno)
             header = lineno
             continue
         if len(parts) != 2:
@@ -313,7 +321,7 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    elif n <= MAX_VERTICES:
         head = "~" + "".join(
             chr(((n >> k) & 63) + 63) for k in (12, 6, 0))
     else:

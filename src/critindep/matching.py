@@ -5,25 +5,30 @@ Every bipartite matching built from scratch comes from `_match_sides`:
 it gives each vertex of one side a left copy and each vertex of the
 other a right copy, joins them along the graph's edges and runs
 Hopcroft-Karp.  The double cover, the S-versus-N(S) matchings and the
-matchings between two vertex sets are all such matchings.  The general
-matching of a graph is computed once and cached by `_base_matching`.
+matchings between two vertex sets are all such matchings.
 
-One blossom-contraction routine, `_grow`, finds the augmenting paths
-and grows the forest of the cached matching from all its exposed
-vertices; the forest's even vertices are the Gallai-Edmonds set D, so
-mu(G - v) is a lookup (Edmonds; Lovasz-Plummer, Matching Theory, ch. 3).
+The general matching of a graph is computed once and cached by
+`_base_matching`, from passes of one blossom-contraction routine,
+`_forest` (Edmonds; Lovasz-Plummer, Matching Theory, ch. 3).  Each pass
+grows one alternating forest from every exposed vertex and flips each
+augmenting path it meets, an edge between two trees.  The first pass,
+from the empty matching, matches greedily.  Passes repeat until one
+flips nothing: that pass proves the matching maximum, and its even
+vertices are the Gallai-Edmonds set D, so mu(G - v) is a lookup.
 
 Witness matchings are valid and maximum but not canonical; callers must
 assert only size and validity.  Tie-breaking everywhere is lowest-vertex
-first so repeated runs are reproducible.
+first, so the general witness is deterministic; it is the matching the
+forest passes reach.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import LimitExceededError, PartitionError, PreconditionError
 from .graphs import Graph, VertexSet, bits, delete_vertices
@@ -143,31 +148,58 @@ def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]
     return match
 
 
-def _grow(adj: list[list[int]], match: Sequence[int],
-          roots: list[int]) -> tuple[int, list[int], bytearray]:
-    """Grow the alternating forest of `match` breadth first from the
-    exposed `roots`, contracting blossoms; return the first exposed vertex
-    outside it that an even vertex reaches (-1 if none), the parent links
-    back to its root and the even flags.  An edge joining two trees closes
-    an augmenting path: that raises.  Each base keeps its members, so a
-    contraction relabels only the blossoms it merges; members turning even
-    are queued in ascending order, as a scan of all n vertices would."""
+def _flip(match: list[int], parent: list[int], u: int) -> None:
+    """Flip the alternating path from u to its tree's root: u, its parent,
+    that parent's old mate, and so on.  u is an odd vertex, or a vertex
+    left exposed by an earlier flip; u = -1 is the empty path."""
+    while u != -1:
+        w = parent[u]
+        nxt = match[w]
+        match[u] = w
+        match[w] = u
+        u = nxt
+
+
+def _forest(adj: list[list[int]], match: list[int]) -> tuple[bool, bytearray]:
+    """One pass of Edmonds' search: grow the alternating forest of `match`
+    breadth first from all its exposed vertices, contracting blossoms.
+
+    An edge joining even vertices of two live trees closes an augmenting
+    path: it is flipped in place, and both trees are retired until the
+    pass ends while the others keep growing.  Return whether anything was
+    flipped, and the even flags.  A pass that flips nothing proves `match`
+    maximum, and its even vertices are the Gallai-Edmonds set D.  Each
+    base keeps its members, so a contraction relabels only the blossoms it
+    merges; members turning even are queued in ascending order.
+    """
     n = len(adj)
     parent = [-1] * n
     base = list(range(n))
-    even = bytearray(n)
+    root = list(range(n))   # the root of each labelled vertex's tree
+    even = bytearray(m == -1 for m in match)
+    retired = bytearray(n)
     members: dict[int, list[int]] = {}
-    queue = deque(roots)
-    for r in roots:
-        even[r] = 1
+    queue = deque(v for v in range(n) if even[v])
+    flipped = False
     while queue:
         v = queue.popleft()
+        if retired[root[v]]:
+            continue
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
+            if base[v] == base[to] or match[v] == to or retired[root[to]]:
                 continue
             if even[to]:
-                # The blossom's base: the first base on to's path to its
-                # root that v's path passes too.
+                if root[to] != root[v]:
+                    # Flip to's side, which frees to; then to hangs below
+                    # v as the exposed end of v's side.
+                    _flip(match, parent, match[to])
+                    parent[to] = v
+                    _flip(match, parent, to)
+                    retired[root[v]] = retired[root[to]] = 1
+                    flipped = True
+                    break
+                # The blossom's base: the first base on to's path to the
+                # root that v's path passes too; both paths end at it.
                 a = base[v]
                 above = {a}
                 while match[a] != -1:
@@ -175,10 +207,6 @@ def _grow(adj: list[list[int]], match: Sequence[int],
                     above.add(a)
                 cur = base[to]
                 while cur not in above:
-                    if match[cur] == -1:
-                        raise RuntimeError(
-                            f"edge ({v},{to}) joins two alternating trees: "
-                            "the matching is not maximum")
                     cur = base[parent[match[cur]]]
                 merged = set()
                 for x, child in ((v, to), (to, v)):
@@ -187,103 +215,84 @@ def _grow(adj: list[list[int]], match: Sequence[int],
                         parent[x] = child
                         child = match[x]
                         x = parent[child]
-                group = members.setdefault(cur, [cur])
-                fresh = []
-                for b in merged:
-                    for x in members.pop(b, [b]):
-                        base[x] = cur
-                        group.append(x)
-                        if not even[x]:
-                            even[x] = 1
-                            fresh.append(x)
-                queue.extend(sorted(fresh))
+                joined = [x for b in merged for x in members.pop(b, [b])]
+                members.setdefault(cur, [cur]).extend(joined)
+                for x in joined:
+                    base[x] = cur
+                fresh = sorted(x for x in joined if not even[x])
+                for x in fresh:
+                    even[x] = 1
+                queue.extend(fresh)
             elif parent[to] == -1:
+                # Every exposed vertex is a root, so to is matched.
                 parent[to] = v
-                if match[to] == -1:
-                    return to, parent, even
-                even[match[to]] = 1
-                queue.append(match[to])
-    return -1, parent, even
+                mate = match[to]
+                root[to] = root[mate] = root[v]
+                even[mate] = 1
+                queue.append(mate)
+    return flipped, even
 
 
-def _blossom(adj: list[list[int]], match: list[int]) -> None:
-    """Augment `match` in place to a maximum matching by one search from
-    each vertex still exposed in turn: a vertex with no augmenting path
-    keeps having none after augmentations elsewhere (Edmonds)."""
-    for root in range(len(adj)):
-        if match[root] == -1:
-            u, parent, _ = _grow(adj, match, [root])
-            while u != -1:
-                w = parent[u]
-                nxt = match[w]
-                match[u] = w
-                match[w] = u
-                u = nxt
+class _MaxMatching(NamedTuple):
+    """One maximum matching of a graph, its size and the bitmask of the
+    Gallai-Edmonds set D (see `_base_matching`)."""
+
+    match: tuple[int, ...]
+    size: int
+    d_mask: int
 
 
 @lru_cache(maxsize=4)
-def _base_matching(g: Graph) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Adjacency lists of g, one maximum matching and its size, shared by
-    every `mu` and `max_matching_general` call on g: a greedy warm start,
-    then one blossom pass unless g has no edge."""
-    n = g.n
-    adj = [list(bits(g.adj[v])) for v in range(n)]
-    match = [-1] * n
-    for u in range(n):
-        if match[u] == -1:
-            for v in adj[u]:
-                if match[v] == -1:
-                    match[u] = v
-                    match[v] = u
-                    break
-    if g.edges:
-        _blossom(adj, match)
-    return adj, tuple(match), sum(1 for v in match if v != -1) // 2
-
-
-@lru_cache(maxsize=4)
-def _even_vertices(g: Graph) -> int:
-    """Bitmask of the even vertices of the forest that g's cached maximum
-    matching grows from all its exposed vertices: the set D."""
-    adj, match, _ = _base_matching(g)
-    _, _, even = _grow(adj, match, [v for v in range(g.n) if match[v] == -1])
-    return sum(1 << v for v in range(g.n) if even[v])
+def _base_matching(g: Graph) -> _MaxMatching:
+    """One maximum matching of g, its size and D, shared by every `mu`,
+    `max_matching_general` and `is_factor_critical` call on g: `_forest`
+    passes from the empty matching until one flips nothing.  A graph with
+    no edge has every vertex exposed and even, and runs no pass."""
+    adj = [list(bits(a)) for a in g.adj]
+    match = [-1] * g.n
+    even = bytearray(b"\1" * g.n)
+    flipped = bool(g.edges)
+    while flipped:
+        flipped, even = _forest(adj, match)
+    return _MaxMatching(tuple(match), (g.n - match.count(-1)) // 2,
+                        sum(1 << v for v in range(g.n) if even[v]))
 
 
 def max_matching_general(g: Graph) -> Matching:
     """Maximum matching of an arbitrary graph via blossom contraction."""
-    match = _base_matching(g)[1]
+    match = _base_matching(g).match
     return Matching(tuple((u, v) for u, v in enumerate(match) if v > u))
 
 
 def mu(g: Graph, removed: Iterable[int] = ()) -> int:
     """Matching number of g - removed.
 
-    The maximum matching M of g is computed once per graph, and one
-    deleted vertex v is read off the forest that M grows from all its
-    exposed vertices (see `_grow`).  mu(G - v) is mu when some maximum
-    matching misses v and mu - 1 otherwise, and one does iff v is even:
+    The maximum matching M of g is computed once per graph by passes of
+    one alternating forest (see `_forest`), and one deleted vertex v is
+    read off the last pass, which grows from all of M's exposed vertices
+    and flips nothing.  mu(G - v) is mu when some maximum matching misses
+    v and mu - 1 otherwise, and one does iff v is even in that pass:
 
     * an even vertex ends an even alternating path from a root, through
       blossoms on whichever side it needs, and flipping M along it
       misses v;
     * once the forest stops growing, each edge at an even vertex ends at
       an odd vertex or in its own blossom, since one into another tree
-      would augment M.  So the odd vertices split off the outermost
-      blossoms as odd components, one more per tree than odd vertices:
-      a Tutte-Berge barrier, and every maximum matching covers the odd
-      and unlabelled vertices.
+      would have been flipped.  So the odd vertices split off the
+      outermost blossoms as odd components, one more per tree than odd
+      vertices: a Tutte-Berge barrier, and every maximum matching covers
+      the odd and unlabelled vertices.
 
     Several deleted vertices are answered from a fresh matching of
     g - removed, an oracle route that no polynomial route here uses.
     """
-    size = _base_matching(g)[2]
+    base = _base_matching(g)
     gone = g.mask_of(removed)
     if not gone:
-        return size
+        return base.size
     if gone & gone - 1:
         return mu(delete_vertices(g, bits(gone))[0])
-    return size - 1 + (_even_vertices(g) >> gone.bit_length() - 1 & 1)
+    return base.size - 1 + (base.d_mask >> gone.bit_length() - 1 & 1)
 
 
 def max_matching_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> int:
@@ -333,8 +342,9 @@ def has_perfect_matching(g: Graph) -> bool:
 
 
 def is_factor_critical(g: Graph) -> bool:
-    """True iff deleting any single vertex leaves a perfect matching."""
-    if g.n % 2 == 0:
-        return g.n == 0
-    half = g.n // 2
-    return all(mu(g, [v]) == half for v in range(g.n))
+    """True iff deleting any single vertex leaves a perfect matching: a
+    maximum matching misses at most one vertex, and every vertex is in D,
+    so that mu(G - v) = mu = floor(n/2) for each v (see `mu`).  A perfect
+    matching leaves D empty, so a graph of even order n > 0 fails."""
+    base = _base_matching(g)
+    return base.size == g.n // 2 and base.d_mask == g.full_mask

@@ -83,6 +83,13 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: line 1: ")
 
+    def test_huge_vertex_count_exits_2_with_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1000000000000 0\n")
+        assert main(["analyze", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ")
+
     def test_exact_flag_exits_3_when_limited(self, capsys, c5_file):
         code = main(["analyze", c5_file, "--exact", "--enum-limit", "2",
                      "--json", "--no-timestamp"])

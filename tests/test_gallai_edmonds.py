@@ -73,38 +73,45 @@ class TestPartition:
          frozenset({1, 2, 3, 4})),
     ], ids=["nested-blossom", "blossom-below-an-odd-vertex"])
     def test_forest_blossoms_match_the_oracle(self, g, d_set):
-        # The greedy warm start is already maximum and leaves only the
-        # root exposed, so the forest is the tree the comments describe.
-        match = mt._base_matching(g)[1]
+        # The first forest pass matches greedily; here that matching is
+        # already maximum and leaves only the root exposed, so the last
+        # pass grows the tree the comments describe.
+        match = mt._base_matching(g).match
         assert [v for v in range(g.n) if match[v] == -1] == [g.n - 1]
         assert gallai_edmonds(g).d_set == missed_vertices_oracle(g) == d_set
         base = mt.mu(g)
         assert [mt.mu(g, [v]) for v in range(g.n)] == [
             base - (v not in d_set) for v in range(g.n)]
 
-    def test_one_blossom_pass_per_graph(self, monkeypatch):
-        # One pass for g and one per component of G[D] with an edge; the
-        # mu(G - v) queries all read the forest.  n = 300 and seed 19 give
-        # two such components, of 3 and 47 vertices.
+    def test_one_matching_per_graph(self, monkeypatch):
+        # Forest passes run on g and on each component of G[D] with an
+        # edge, whose factor-critical flag reads its own matching; the
+        # mu(G - v) queries all read g's last pass.  n = 300 and seed 19
+        # give two such components, of 3 and 47 vertices.
         rng = random.Random(19)
         n = 300
         g = Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                             if rng.random() < 3 / n])
         calls = []
-        counted = mt._blossom
+        counted = mt._forest
 
-        def blossom(adj, match):
+        def forest(adj, match):
             calls.append(len(adj))
             return counted(adj, match)
 
-        monkeypatch.setattr(mt, "_blossom", blossom)
-        for cache in (ge._partition, mt._base_matching, mt._even_vertices):
+        monkeypatch.setattr(mt, "_forest", forest)
+        for cache in (ge._partition, mt._base_matching):
             cache.cache_clear()
         p = gallai_edmonds(g)
         sizes = sorted(len(comp) for comp, _ in p.d_components
                        if len(comp) > 1)
         assert sizes == [3, 47]
-        assert sorted(calls) == [*sizes, n]
+        assert sorted(set(calls)) == [*sizes, n]
+        calls.clear()
+        base = mt.mu(g)
+        assert [mt.mu(g, [v]) for v in range(n)] == [
+            base - (v not in p.d_set) for v in range(n)]
+        assert calls == []
 
     def test_oracle_limit(self):
         with pytest.raises(LimitExceededError):

@@ -11,7 +11,8 @@ from critindep import (FormatError, Graph, InvalidVertexError,
                        delete_vertices, find_unique_cycle, induced_subgraph,
                        neighborhood, parse_edge_list, parse_graph6,
                        to_edge_list, to_graph6)
-from critindep.graphs import canonical_cycle, cycle_space_dimension
+from critindep.graphs import (MAX_VERTICES, canonical_cycle,
+                             cycle_space_dimension)
 
 from common import complete, cycle, empty, path, star
 from conftest import graphs
@@ -210,6 +211,13 @@ class TestEdgeListFormat:
             parse_edge_list("# header next\n-1 0\n")
         assert err.value.line == 2
         assert "negative" in str(err.value)
+
+    def test_vertex_count_cap(self):
+        assert parse_edge_list(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+        with pytest.raises(FormatError) as err:
+            parse_edge_list(f"# header next\n{MAX_VERTICES + 1} 0\n")
+        assert err.value.line == 2
+        assert "exceeds" in str(err.value)
 
     def test_duplicate_edge_reports_line_number(self):
         with pytest.raises(FormatError) as err:

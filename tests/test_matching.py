@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
 import critindep.matching as mt
-from critindep import (LimitExceededError, PartitionError, PreconditionError,
-                       has_perfect_matching, is_factor_critical,
-                       matching_from_into, max_matching_bipartite,
-                       max_matching_bruteforce, max_matching_general, mu,
-                       neighborhood)
+from critindep import (Graph, LimitExceededError, PartitionError,
+                       PreconditionError, has_perfect_matching,
+                       is_factor_critical, matching_from_into,
+                       max_matching_bipartite, max_matching_bruteforce,
+                       max_matching_general, mu, neighborhood)
 from critindep.graphs import delete_vertices
 
 from common import complete, cycle, empty, path, petersen, star
@@ -95,18 +97,41 @@ class TestGeneralMatching:
             h, _ = delete_vertices(g, [v])
             assert mu(g, [v]) == max_matching_bruteforce(h)
 
-    def test_forest_raises_on_a_matching_that_is_not_maximum(
-            self, monkeypatch):
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_every_single_deletion_matches_hopcroft_karp(self, n):
+        # Hopcroft-Karp shares no code with the blossom forest, so it is
+        # an independent oracle at sizes the brute force cannot reach.
+        rng = random.Random(n)
+        left = {v for v in range(n) if rng.random() < 0.5}
+        g = Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if (u in left) != (v in left)
+                            and rng.random() < 3 / n])
+
+        def hopcroft_karp(h, labels):
+            side = [labels[v] in left for v in range(h.n)]
+            return max_matching_bipartite(
+                h, [v for v in range(h.n) if side[v]],
+                [v for v in range(h.n) if not side[v]]).size
+
+        assert mu(g) == hopcroft_karp(g, range(n))
+        for v in range(n):
+            assert mu(g, [v]) == hopcroft_karp(*delete_vertices(g, [v]))
+
+    def test_edge_between_two_trees_augments(self):
         # P4 with only its middle edge matched: the trees grown from the
         # two exposed ends meet across the edge 2-3.
-        g = path(4)
-        fake = ([[1], [0, 2], [1, 3], [2]], (-1, 2, 1, -1), 1)
-        monkeypatch.setattr(mt, "_base_matching", lambda h: fake)
-        mt._even_vertices.cache_clear()
-        with pytest.raises(RuntimeError, match="not maximum"):
-            mu(g, [1])
-        monkeypatch.undo()
-        assert mu(g, [1]) == 1
+        adj = [[1], [0, 2], [1, 3], [2]]
+        match = [-1, 2, 1, -1]
+        flipped, _ = mt._forest(adj, match)
+        assert flipped and match == [1, 0, 3, 2]
+        flipped, even = mt._forest(adj, match)
+        assert not flipped and not any(even)
+        assert match == [1, 0, 3, 2]
+        # Two disjoint such paths both augment in one pass.
+        adj = [*adj, *([x + 4 for x in xs] for xs in adj)]
+        match = [-1, 2, 1, -1, -1, 6, 5, -1]
+        flipped, _ = mt._forest(adj, match)
+        assert flipped and match == [1, 0, 3, 2, 5, 4, 7, 6]
 
     def test_brute_force_limit(self):
         with pytest.raises(LimitExceededError):
