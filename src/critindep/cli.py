@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = analyze(g, limits, source=data, fmt=fmt, seed=args.seed)
+    report = analyze(g, limits, source=data, fmt=fmt)
     if args.exact and "skipped" in report:
         for field, reason in sorted(report["skipped"].items()):
             print(f"error: exact field {field} unavailable: {reason}",
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default="auto")
         p.add_argument("--json", action="store_true")
         p.add_argument("--no-timestamp", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--enum-limit", type=int, default=None)
         p.add_argument("--omega-limit", type=int, default=None)
         p.add_argument("--alpha-limit", type=int, default=None)
@@ -285,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", help="certificate output path")
     p.add_argument("--inject-failure", action="store_true",
                    help="force one failure (exercises the failure path)")
+    p.add_argument("--seed", type=int, default=0)
     add_common(p, with_graph=False)
     p.set_defaults(func=cmd_verify)
 

@@ -86,11 +86,10 @@ class _Cover:
 
     The cover has a left copy u and a right copy u + n of every vertex u,
     and joins u to v + n and v to u + n for each edge uv.  `nbrs` lists
-    the neighbours of every copy: the left copies' lists come from
-    `_match_sides`, and by symmetry the left neighbours of w + n are w's
-    right neighbours shifted by -n.  `alternating` holds the matching's
-    alternating structure once a single-vertex deletion or `diadem` has
-    asked for it.
+    the right neighbours of every left copy, as `_match_sides` builds
+    them; nothing here walks out of a right copy.  `alternating` holds
+    the matching's alternating structure once a single-vertex deletion or
+    `diadem` has asked for it.
     """
 
     nbrs: list[list[int]]
@@ -109,9 +108,7 @@ def _double_cover(g: Graph) -> _Cover:
     """The double cover of g, shared by every `critical_difference` and
     `diadem` call on g."""
     adj, match, _ = _match_sides(g, g.full_mask, g.full_mask)
-    n = g.n
-    nbrs = adj + [[r - n for r in rs] for rs in adj]
-    return _Cover(nbrs, tuple(match), match[:n].count(-1))
+    return _Cover(adj, tuple(match), match[:g.n].count(-1))
 
 
 def _alternating(nbrs: list[list[int]],
@@ -373,7 +370,7 @@ def diadem(g: Graph) -> VertexSet:
     slack, comp, reach = cover.structure()
     match = cover.match
     n = g.n
-    blocked = sum(1 << x for x, rs in enumerate(cover.nbrs[:n])
+    blocked = sum(1 << x for x, rs in enumerate(cover.nbrs)
                   if any(match[r] == -1 for r in rs))
     members = []
     for v in range(n):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .errors import FormatError, InvalidVertexError, NotUnicyclicError
 
@@ -120,7 +121,7 @@ def difference(g: Graph, x: Iterable[int]) -> int:
 
 def induced_subgraph(g: Graph, u: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """G[u] plus the relabeling map: labels[new_id] = original vertex."""
-    labels = tuple(sorted(set_of(g.mask_of(u))))
+    labels = tuple(bits(g.mask_of(u)))
     index = {v: i for i, v in enumerate(labels)}
     edges = [
         (index[a], index[b]) for a, b in g.edges if a in index and b in index
@@ -161,55 +162,34 @@ def find_unique_cycle(g: Graph) -> list[int] | None:
     Raises NotUnicyclicError when g has two or more independent cycles.
     Canonical order: starts at the smallest cycle vertex and proceeds toward
     its smaller cycle neighbor.
+
+    With one independent cycle, peeling vertices of degree at most one
+    until none is left leaves exactly the cycle, every vertex of it with
+    two cycle neighbours; the walk from its smallest vertex then reads it
+    off in canonical order.
     """
     dim = cycle_space_dimension(g)
     if dim == 0:
         return None
     if dim > 1:
         raise NotUnicyclicError(f"cycle space dimension {dim}, expected at most 1")
-    # Spanning forest; the single non-tree edge closes the unique cycle.
-    parent = [-1] * g.n
-    seen = 0
-    tree_edges = set()
-    for root in range(g.n):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in bits(g.adj[v]):
-                if not (seen >> w & 1):
-                    seen |= 1 << w
-                    parent[w] = v
-                    tree_edges.add((min(v, w), max(v, w)))
-                    stack.append(w)
-    extras = [e for e in g.edges if e not in tree_edges]
-    assert len(extras) == 1
-    u, v = extras[0]
-    # Path from u and v up to their common ancestor.
-    anc_u = []
-    x = u
-    while x != -1:
-        anc_u.append(x)
-        x = parent[x]
-    on_u = {x: i for i, x in enumerate(anc_u)}
-    path_v = []
-    x = v
-    while x not in on_u:
-        path_v.append(x)
-        x = parent[x]
-    cycle = anc_u[: on_u[x] + 1] + list(reversed(path_v))
-    return canonical_cycle(cycle)
-
-
-def canonical_cycle(cycle: list[int]) -> list[int]:
-    """Rotate/reflect a cyclic vertex sequence to its canonical form."""
-    i = cycle.index(min(cycle))
-    rot = cycle[i:] + cycle[:i]
-    if rot[1] > rot[-1]:
-        rot = [rot[0]] + rot[1:][::-1]
-    return rot
+    # degree[v] counts v's unpeeled neighbours while v is unpeeled, and
+    # stays at most one once v is peeled.
+    degree = [a.bit_count() for a in g.adj]
+    stack = [v for v in range(g.n) if degree[v] <= 1]
+    while stack:
+        for w in bits(g.adj[stack.pop()]):
+            degree[w] -= 1
+            if degree[w] == 1:
+                stack.append(w)
+    start = next(v for v in range(g.n) if degree[v] > 1)
+    prev, v = start, min(w for w in bits(g.adj[start]) if degree[w] > 1)
+    cycle = [start]
+    while v != start:
+        cycle.append(v)
+        prev, v = v, next(w for w in bits(g.adj[v])
+                          if degree[w] > 1 and w != prev)
+    return cycle
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +248,16 @@ def to_edge_list(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# graph6: the standard printable bit-packed upper-triangle encoding.
+# graph6: the standard printable bit-packed upper-triangle encoding.  Each
+# character chr(63 + k) carries the six bits of k, most significant first.
+# A size field (one character for n <= 62, '~' and three for n <= 258047,
+# '~~' and six beyond) precedes the body, whose bit i is the pair (u, v),
+# u < v, with i = v(v - 1)/2 + u, padded with zeros to a multiple of six.
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# Spells each graph6 character as its six bits, for str.translate.
+_G6_BITS = {63 + k: format(k, "06b") for k in range(64)}
 
 
 def parse_graph6(line: str) -> Graph:
@@ -280,41 +266,37 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise FormatError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if min(s) < "?" or max(s) > "~":
         raise FormatError("graph6 byte out of range 63..126")
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
+    if s[0] != "~":
+        size, body = s[:1], s[1:]
+    elif len(s) >= 4 and s[1] != "~":
+        size, body = s[1:4], s[4:]
+    elif len(s) >= 8:
+        size, body = s[2:8], s[8:]
     else:
-        if len(data) >= 4 and data[1] < 63:
-            n = (data[1] << 12) | (data[2] << 6) | data[3]
-            body = data[4:]
-        elif len(data) >= 8:
-            n = 0
-            for b in data[2:8]:
-                n = (n << 6) | b
-            body = data[8:]
-        else:
-            raise FormatError("truncated graph6 size field")
+        raise FormatError("truncated graph6 size field")
+    n = int(size.translate(_G6_BITS), 2)
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise FormatError(
             f"graph6 body length {len(body)} does not match n={n}")
-    bitstream = []
-    for b in body:
-        for k in range(5, -1, -1):
-            bitstream.append(b >> k & 1)
-    if any(bitstream[nbits:]):
+    stream = body.translate(_G6_BITS)
+    if "1" in stream[nbits:]:
         raise FormatError("nonzero graph6 padding bits")
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bitstream[idx]:
-                edges.append((u, v))
-            idx += 1
+    i = stream.find("1")
+    while i != -1:
+        v = (isqrt(8 * i + 1) + 1) // 2
+        edges.append((i - v * (v - 1) // 2, v))
+        i = stream.find("1", i + 1)
     return Graph.build(n, edges)
+
+
+def _g6_chars(stream: str | bytearray) -> str:
+    """Pack a '0'/'1' string whose length is a multiple of six."""
+    return "".join(chr(63 + int(stream[i:i + 6], 2))
+                   for i in range(0, len(stream), 6))
 
 
 def to_graph6(g: Graph) -> str:
@@ -322,21 +304,11 @@ def to_graph6(g: Graph) -> str:
     if n <= 62:
         head = chr(n + 63)
     elif n <= MAX_VERTICES:
-        head = "~" + "".join(
-            chr(((n >> k) & 63) + 63) for k in (12, 6, 0))
+        head = "~" + _g6_chars(format(n, "018b"))
     else:
-        head = "~~" + "".join(
-            chr(((n >> k) & 63) + 63) for k in (30, 24, 18, 12, 6, 0))
-    bitstream = []
-    for v in range(1, n):
-        for u in range(v):
-            bitstream.append(1 if g.has_edge(u, v) else 0)
-    while len(bitstream) % 6:
-        bitstream.append(0)
-    body = []
-    for i in range(0, len(bitstream), 6):
-        val = 0
-        for b in bitstream[i:i + 6]:
-            val = val << 1 | b
-        body.append(chr(val + 63))
-    return head + "".join(body)
+        head = "~~" + _g6_chars(format(n, "036b"))
+    nbits = n * (n - 1) // 2
+    stream = bytearray(b"0") * (nbits + -nbits % 6)
+    for u, v in g.edges:
+        stream[v * (v - 1) // 2 + u] = ord("1")
+    return head + _g6_chars(stream)

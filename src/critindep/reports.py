@@ -20,10 +20,10 @@ def _sorted_sets(sets) -> list[list[int]]:
 
 
 def analyze(g: Graph, limits: Limits = Limits(), source: bytes = b"",
-            fmt: str = "unknown", seed: int = 0) -> dict:
+            fmt: str = "unknown") -> dict:
     """Full analysis report for one graph.  Fields whose exact computation
     exceeds a size limit are skipped with a reason."""
-    ctx = GraphContext(g, limits, seed=seed)
+    ctx = GraphContext(g, limits)
     skipped: dict[str, str] = {}
 
     report: dict = {

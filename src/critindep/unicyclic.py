@@ -261,8 +261,6 @@ def disconnected_invariants(g: Graph, limit: int = ALPHA_LIMIT) -> dict:
     assert len(cyc_comps) == 1
     gp, _ = induced_subgraph(g, cyc_comps[0])
     f, _ = induced_subgraph(g, forest_vertices)
-    if is_ke(g, limit):
-        raise PreconditionError("graph must not be Koenig-Egervary")
     stats = {}
     for name, h in (("whole", g), ("cycle_component", gp), ("forest", f)):
         stats[name] = {
@@ -272,6 +270,8 @@ def disconnected_invariants(g: Graph, limit: int = ALPHA_LIMIT) -> dict:
             "mu": mu(h),
         }
     w, c, fo = stats["whole"], stats["cycle_component"], stats["forest"]
+    if w["alpha"] + w["mu"] == g.n:
+        raise PreconditionError("graph must not be Koenig-Egervary")
     stats["checks"] = {
         "d_c_additive": w["d_c"] == c["d_c"] + fo["d_c"],
         "alpha_additive": w["alpha"] == c["alpha"] + fo["alpha"],

@@ -103,6 +103,15 @@ class TestAnalyze:
             capsys, ["analyze", c5_file, "--json", "--no-timestamp"])
         assert "generated_at" not in without
 
+    def test_seed_is_not_an_analyze_option(self, capsys, c5_file):
+        # Nothing in a report depends on a seed, so analyze takes none.
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", c5_file, "--seed", "1"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: critindep ")
+        assert "error: unrecognized arguments: --seed 1" in err
+
     def test_env_override(self, capsys, c5_file, monkeypatch):
         monkeypatch.setenv("CRITINDEP_ENUM_LIMIT", "2")
         _, report = run_json(

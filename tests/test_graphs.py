@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from critindep import (FormatError, Graph, InvalidVertexError,
                        NotUnicyclicError, connected_components, difference,
-                       delete_vertices, find_unique_cycle, induced_subgraph,
-                       neighborhood, parse_edge_list, parse_graph6,
-                       to_edge_list, to_graph6)
-from critindep.graphs import (MAX_VERTICES, canonical_cycle,
-                             cycle_space_dimension)
+                       delete_vertices, find_unique_cycle, generate_random,
+                       induced_subgraph, neighborhood, parse_edge_list,
+                       parse_graph6, to_edge_list, to_graph6)
+from critindep.graphs import MAX_VERTICES, cycle_space_dimension
 
-from common import complete, cycle, empty, path, star
+from common import complete, cycle, empty, path, petersen, star
 from conftest import graphs
 
 
@@ -27,6 +26,35 @@ def sparse_graphs_past_one_byte_header(draw):
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
     return Graph.build(n, {(min(u, v), max(u, v)) for u, v in pairs
                            if u != v})
+
+
+@st.composite
+def unicyclic_with_forest(draw):
+    """A generated unicyclic graph or a bare cycle, with a random forest
+    hung on it or left beside it, relabelled at random."""
+    if draw(st.booleans()):
+        _, cu = generate_random(draw(st.sampled_from([3, 5, 7, 9])),
+                                draw(st.integers(1, 4)),
+                                draw(st.integers(0, 4)),
+                                seed=draw(st.integers(0, 2 ** 30)))
+        base = cu.graph
+    else:
+        base = cycle(draw(st.integers(3, 10)))
+    edges = list(base.edges)
+    n = base.n
+    for v in range(n, n + draw(st.integers(0, 12))):
+        # Each new vertex joins at most one earlier vertex: no new cycle.
+        if draw(st.booleans()):
+            edges.append((draw(st.integers(0, v - 1)), v))
+        n = v + 1
+    label = draw(st.permutations(range(n)))
+    return Graph.build(n, [(label[u], label[v]) for u, v in edges])
+
+
+def relabelled_cycle(order: list[int]) -> Graph:
+    """The cycle that visits `order` in turn."""
+    return Graph.build(len(order), [(order[i - 1], order[i])
+                                    for i in range(len(order))])
 
 
 class TestConstruction:
@@ -175,9 +203,27 @@ class TestComponentsAndCycles:
         g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5)])
         assert find_unique_cycle(g) == [0, 1, 2]
 
-    def test_canonical_cycle_rotation_and_reflection(self):
-        assert canonical_cycle([3, 4, 0, 1, 2]) == [0, 1, 2, 3, 4]
-        assert canonical_cycle([0, 4, 3, 2, 1]) == [0, 1, 2, 3, 4]
+    def test_unique_cycle_is_rotated_and_reflected(self):
+        for order, canonical in (([3, 4, 0, 1, 2], [0, 1, 2, 3, 4]),
+                                 ([0, 4, 3, 2, 1], [0, 1, 2, 3, 4]),
+                                 ([2, 4, 1, 3, 0], [0, 2, 4, 1, 3]),
+                                 ([0, 3, 1, 4, 2], [0, 2, 4, 1, 3]),
+                                 ([4, 0, 1, 3, 2], [0, 1, 3, 2, 4])):
+            assert find_unique_cycle(relabelled_cycle(order)) == canonical
+
+    @settings(max_examples=200)
+    @given(g=unicyclic_with_forest())
+    def test_unique_cycle_of_a_relabelled_unicyclic_graph(self, g):
+        found = find_unique_cycle(g)
+        # The cycle's vertices are exactly those whose deletion leaves a
+        # forest.
+        assert set(found) == {
+            v for v in range(g.n)
+            if cycle_space_dimension(delete_vertices(g, [v])[0]) == 0}
+        assert len(found) == len(set(found))
+        assert all(g.has_edge(found[i - 1], found[i])
+                   for i in range(len(found)))
+        assert found[0] == min(found) and found[1] < found[-1]
 
 
 class TestEdgeListFormat:
@@ -228,9 +274,21 @@ class TestEdgeListFormat:
 
 class TestGraph6Format:
     def test_known_encodings(self):
-        assert to_graph6(empty(0)) == "?"
-        assert to_graph6(complete(2)) == "A_"
-        assert to_graph6(complete(3)) == "Bw"
+        # A round trip cannot catch a wrong bit order; these strings can.
+        for g, encoded in ((empty(0), "?"), (complete(2), "A_"),
+                           (complete(3), "Bw"), (cycle(5), "Dhc"),
+                           (star(3), "Cs"), (petersen(), "IheA@GUAo"),
+                           (empty(63), "~??~" + "?" * 326)):
+            assert to_graph6(g) == encoded
+            assert parse_graph6(encoded) == g
+
+    @pytest.mark.parametrize("text, message", [
+        ("~?", "truncated graph6 size field"),
+        ("Bx", "nonzero graph6 padding bits"),
+    ])
+    def test_rejection_messages(self, text, message):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_graph6(text)
 
     def test_header_prefix_is_stripped(self):
         assert parse_graph6(">>graph6<<Bw") == complete(3)

@@ -161,6 +161,24 @@ class TestDisconnectedInvariants:
         with pytest.raises(PreconditionError):
             disconnected_invariants(cycle(5))
 
+    def test_alpha_runs_once_per_part(self, monkeypatch):
+        g = Graph.build(7, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)])
+        sizes = []
+
+        def counted(h, *args):
+            sizes.append(h.n)
+            return alpha(h, *args)
+
+        monkeypatch.setattr(unicyclic, "alpha", counted)
+        disconnected_invariants(g)
+        assert sizes == [7, 5, 2]
+        # A KE graph is still refused, from the same alpha of the whole.
+        sizes.clear()
+        with pytest.raises(PreconditionError, match="Koenig-Egervary"):
+            disconnected_invariants(Graph.build(
+                6, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)]))
+        assert sizes == [6, 4, 2]
+
     def test_alpha_limit_is_honoured(self):
         g = Graph.build(7, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)])
         with pytest.raises(LimitExceededError):
@@ -170,7 +188,7 @@ class TestDisconnectedInvariants:
 
     def test_one_invariants_report_per_analyze(self, monkeypatch):
         # A triangle with the pendant path 2-3-4, plus the edge 5-6: alpha
-        # runs once for the graph and four times inside the one report.
+        # runs once for the graph and once per part inside the one report.
         g = Graph.build(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (5, 6)])
         runs = {"invariants": 0, "alpha": 0}
 
@@ -186,7 +204,7 @@ class TestDisconnectedInvariants:
         monkeypatch.setattr(unicyclic, "alpha", counted_alpha)
         monkeypatch.setattr(independence, "alpha", counted_alpha)
         report = reports.analyze(g)
-        assert runs == {"invariants": 1, "alpha": 5}
+        assert runs == {"invariants": 1, "alpha": 4}
         assert report["ke_status"] is False
         assert report["unicyclic"]["verdict"] == "non-KE"
         assert all(report["unicyclic"]["invariants"]["checks"].values())
