@@ -5,9 +5,12 @@ D is computed from its definition, one matching number per vertex (v is
 in D iff deleting v does not lower the matching number).  The maximum
 matching of the graph comes from passes of one alternating forest grown
 from every exposed vertex; the last pass flips nothing, and each of these
-n numbers is read off its even vertices.  Each factor-critical flag of a
-component of G[D] reads that component's own last pass: odd order, one
-vertex left exposed, and every vertex even.
+n numbers is read off its even vertices.  A = N(D) - D is read off the
+neighbour lists, and the components of G[D] come from one search over
+them and one pass that hands each component its own edges.  Each
+factor-critical flag of a component reads that component's own last
+pass: odd order, one vertex left exposed, and every vertex even.  A
+singleton component is K1, factor-critical without a matching.
 
 The partition is built once per graph and kept in a small cache, so the
 report and every check that reads it share one frozen copy.
@@ -16,12 +19,12 @@ report and every check that reads it share one frozen copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, compress
+from operator import or_
 
 from .errors import LimitExceededError
-from .graphs import (Graph, VertexSet, connected_components,
-                     induced_subgraph, neighborhood)
+from .graphs import Graph, VertexSet, bits, induced_subgraph
 # ker stays bound here: perfbench/test_perfbench.py checks that the tracer
 # rebinds and restores it in this namespace.
 from .critical import ker  # noqa: F401
@@ -56,16 +59,44 @@ def gallai_edmonds(g: Graph) -> GallaiEdmondsPartition:
 def _partition(g: Graph) -> GallaiEdmondsPartition:
     base = mu(g)
     d_set = frozenset(v for v in range(g.n) if mu(g, [v]) == base)
-    a_set = neighborhood(g, d_set) - d_set
+    nbrs = g.nbrs
+    a_set = frozenset(w for v in d_set for w in nbrs[v]) - d_set
     c_set = frozenset(range(g.n)) - d_set - a_set
-    # Each component is cut out of G[D]: relabelling keeps the order, so
-    # it is the same graph as when cut out of g, from fewer edges.
-    sub, labels = induced_subgraph(g, d_set)
-    comps = tuple((frozenset(labels[v] for v in comp),
-                   is_factor_critical(induced_subgraph(sub, comp)[0]))
-                  for comp in connected_components(sub))
     return GallaiEdmondsPartition(d_set=d_set, a_set=a_set, c_set=c_set,
-                                  d_components=comps)
+                                  d_components=_d_components(g, d_set))
+
+
+def _d_components(g: Graph, d_set: VertexSet
+                  ) -> tuple[tuple[VertexSet, bool], ...]:
+    """The components of G[D] by smallest member, each with its
+    factor-critical flag.  Each non-singleton component is built from its
+    own edges, relabelled in ascending order as `induced_subgraph` would
+    cut it out of g."""
+    nbrs = g.nbrs
+    in_d = g.flags_of(d_set)
+    comp = [-1] * g.n
+    rank = [0] * g.n
+    groups: list[list[int]] = []
+    for start in compress(range(g.n), in_d):
+        if comp[start] != -1:
+            continue
+        comp[start] = len(groups)
+        group = [start]
+        for v in group:
+            for w in nbrs[v]:
+                if in_d[w] and comp[w] == -1:
+                    comp[w] = comp[start]
+                    group.append(w)
+        group.sort()
+        for i, v in enumerate(group):
+            rank[v] = i
+        groups.append(group)
+    edges: list[list[tuple[int, int]]] = [[] for _ in groups]
+    for a, b in g.edges:
+        if in_d[a] and in_d[b]:
+            edges[comp[a]].append((rank[a], rank[b]))
+    return tuple((frozenset(group), len(group) == 1 or is_factor_critical(
+        Graph.build(len(group), own))) for group, own in zip(groups, edges))
 
 
 def missed_vertices_oracle(g: Graph,
@@ -75,6 +106,7 @@ def missed_vertices_oracle(g: Graph,
     if g.n > limit:
         raise LimitExceededError(f"n={g.n} exceeds enumeration limit {limit}")
     target = mu(g)
+    adj = g.adj
     missed: set[int] = set()
 
     def rec(mask: int, size: int, covered: int) -> None:
@@ -89,9 +121,8 @@ def missed_vertices_oracle(g: Graph,
         low = mask & -mask
         v = low.bit_length() - 1
         rest = mask ^ low
-        for w in range(g.n):
-            if rest >> w & 1 and g.has_edge(v, w):
-                rec(rest ^ (1 << w), size + 1, covered | low | (1 << w))
+        for w in bits(adj[v] & rest):
+            rec(rest ^ (1 << w), size + 1, covered | low | (1 << w))
         rec(rest, size, covered)
 
     rec(g.full_mask, 0, 0)
@@ -106,17 +137,25 @@ def check_theorem_53(g: Graph, p: GallaiEdmondsPartition,
     c_sub, _ = induced_subgraph(g, p.c_set)
     report["c_perfect_matching"] = has_perfect_matching(c_sub)
 
+    comp_of = {v: i for i, (comp, _) in enumerate(p.d_components)
+               for v in comp}
     avs = sorted(p.a_set)
     if len(avs) > subset_limit:
         report["a_subsets_touch_components"] = None
     else:
+        # The components each vertex of A touches, as a bitset; a subset
+        # touches the union of its members' bitsets.
+        touches = []
+        for a in avs:
+            bitset = 0
+            for w in g.nbrs[a]:
+                if w in comp_of:
+                    bitset |= 1 << comp_of[w]
+            touches.append(bitset)
         ok = True
-        comp_sets = [comp for comp, _ in p.d_components]
         for size in range(1, len(avs) + 1):
-            for s in combinations(avs, size):
-                nb = neighborhood(g, s)
-                touched = sum(1 for comp in comp_sets if nb & comp)
-                if touched < size + 1:
+            for s in combinations(touches, size):
+                if reduce(or_, s).bit_count() < size + 1:
                     ok = False
                     break
             if not ok:
@@ -131,10 +170,7 @@ def check_theorem_53(g: Graph, p: GallaiEdmondsPartition,
     used_components = set()
     ok = True
     for a in avs:
-        mate = partner.get(a)
-        comp_idx = next(
-            (i for i, (comp, _) in enumerate(p.d_components)
-             if mate in comp), None)
+        comp_idx = comp_of.get(partner.get(a))
         if comp_idx is None or comp_idx in used_components:
             ok = False
             break

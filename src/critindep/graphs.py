@@ -1,16 +1,26 @@
 """Immutable simple-graph representation, formats, and elementary queries.
 
 Vertices are dense integers 0..n-1.  Vertex subsets cross the public API as
-frozensets; internally most routines work on integer bitmasks (bit v set
-means vertex v is in the set), which keeps union/intersection/neighborhood
-at one machine operation per word and makes the exhaustive subset oracles
-feasible up to n = 20.
+frozensets.  A graph is its vertex count and sorted edge tuple; it carries
+two adjacency representations, each built in one pass over the edges the
+first time a routine reads it:
+
+* `nbrs`, sorted neighbour tuples, for every polynomial route: matchings,
+  the double cover, deletions, components and the unique cycle.  They
+  cost O(n + m).
+* `adj`, one integer bitmask per vertex (bit w set means w is a
+  neighbour), for the exhaustive 2^n subset oracles and the small-set
+  routines, where union and intersection take one machine operation per
+  word.  They cost O(n^2) bits, so a large sparse graph never builds
+  them on those routes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from math import isqrt
 
 from .errors import FormatError, InvalidVertexError, NotUnicyclicError
@@ -36,11 +46,11 @@ def set_of(mask: int) -> VertexSet:
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite simple graph: no loops, no parallel edges, symmetric adjacency."""
+    """A finite simple graph: no loops, no parallel edges.  `n` and the
+    sorted edge tuple are its only compared and hashed fields."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[int, ...] = field(compare=False)
 
     def __post_init__(self) -> None:
         # Every per-graph cache lookup hashes the graph; hashing the edge
@@ -67,11 +77,27 @@ class Graph:
             seen.add(e)
             norm.append(e)
         norm.sort()
-        adj = [0] * n
-        for u, v in norm:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return Graph(n, tuple(norm), tuple(adj))
+        return Graph(n, tuple(norm))
+
+    @cached_property
+    def nbrs(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbours of each vertex, ascending.  The edges are sorted
+        with u < v, so each vertex meets its smaller neighbours first, in
+        order, and then its larger ones."""
+        lists: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            lists[u].append(v)
+            lists[v].append(u)
+        return tuple(map(tuple, lists))
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """The neighbourhood bitmask of each vertex."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @property
     def edge_count(self) -> int:
@@ -82,27 +108,41 @@ class Graph:
         return (1 << self.n) - 1
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return len(self.nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> VertexSet:
-        return set_of(self.adj[v])
+        return frozenset(self.nbrs[v])
 
     def mask_of(self, xs: Iterable[int]) -> int:
         """Validate a vertex collection and pack it into a bitmask."""
         m = 0
         for v in xs:
             if not (0 <= v < self.n):
-                raise InvalidVertexError(f"vertex {v} out of range 0..{self.n - 1}")
+                raise self._out_of_range(v)
             m |= 1 << v
         return m
 
+    def flags_of(self, xs: Iterable[int], inside: int = 1) -> bytearray:
+        """Validate a vertex collection and flag it, one byte per vertex:
+        `inside` at its members and 1 - inside elsewhere."""
+        flags = bytearray([1 - inside]) * self.n
+        for v in xs:
+            if not (0 <= v < self.n):
+                raise self._out_of_range(v)
+            flags[v] = inside
+        return flags
+
+    def _out_of_range(self, v: int) -> InvalidVertexError:
+        return InvalidVertexError(f"vertex {v} out of range 0..{self.n - 1}")
+
     def neighborhood_mask(self, xmask: int) -> int:
+        adj = self.adj
         nb = 0
         for v in bits(xmask):
-            nb |= self.adj[v]
+            nb |= adj[v]
         return nb
 
     def difference_mask(self, xmask: int) -> int:
@@ -121,34 +161,42 @@ def difference(g: Graph, x: Iterable[int]) -> int:
 
 def induced_subgraph(g: Graph, u: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """G[u] plus the relabeling map: labels[new_id] = original vertex."""
-    labels = tuple(bits(g.mask_of(u)))
-    index = {v: i for i, v in enumerate(labels)}
-    edges = [
-        (index[a], index[b]) for a, b in g.edges if a in index and b in index
-    ]
-    return Graph.build(len(labels), edges), labels
+    return _induced(g, g.flags_of(u))
 
 
 def delete_vertices(g: Graph, x: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """G - x, i.e. the subgraph induced on V(g) minus x, with relabeling map."""
-    keep = g.full_mask & ~g.mask_of(x)
-    return induced_subgraph(g, bits(keep))
+    return _induced(g, g.flags_of(x, inside=0))
+
+
+def _induced(g: Graph, keep: bytearray) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph induced on the flagged vertices, relabelled in
+    ascending order, from one pass over the edges.  Relabelling keeps
+    the order, so the edges come out sorted."""
+    labels = tuple(compress(range(g.n), keep))
+    index = [0] * g.n
+    for i, v in enumerate(labels):
+        index[v] = i
+    edges = [(index[a], index[b]) for a, b in g.edges if keep[a] and keep[b]]
+    return Graph.build(len(labels), edges), labels
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
     """Maximal connected vertex sets, ordered by smallest member."""
-    unseen = g.full_mask
+    nbrs = g.nbrs
+    seen = bytearray(g.n)
     comps = []
-    while unseen:
-        start = unseen & -unseen
-        comp = start
-        frontier = start
-        while frontier:
-            nb = g.neighborhood_mask(frontier) & unseen & ~comp
-            comp |= nb
-            frontier = nb
-        unseen &= ~comp
-        comps.append(set_of(comp))
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
+        for v in comp:
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
+        comps.append(frozenset(comp))
     return comps
 
 
@@ -175,19 +223,20 @@ def find_unique_cycle(g: Graph) -> list[int] | None:
         raise NotUnicyclicError(f"cycle space dimension {dim}, expected at most 1")
     # degree[v] counts v's unpeeled neighbours while v is unpeeled, and
     # stays at most one once v is peeled.
-    degree = [a.bit_count() for a in g.adj]
+    nbrs = g.nbrs
+    degree = [len(nb) for nb in nbrs]
     stack = [v for v in range(g.n) if degree[v] <= 1]
     while stack:
-        for w in bits(g.adj[stack.pop()]):
+        for w in nbrs[stack.pop()]:
             degree[w] -= 1
             if degree[w] == 1:
                 stack.append(w)
     start = next(v for v in range(g.n) if degree[v] > 1)
-    prev, v = start, min(w for w in bits(g.adj[start]) if degree[w] > 1)
+    prev, v = start, next(w for w in nbrs[start] if degree[w] > 1)
     cycle = [start]
     while v != start:
         cycle.append(v)
-        prev, v = v, next(w for w in bits(g.adj[v])
+        prev, v = v, next(w for w in nbrs[v]
                           if degree[w] > 1 and w != prev)
     return cycle
 

@@ -5,7 +5,10 @@ Every bipartite matching built from scratch comes from `_match_sides`:
 it gives each vertex of one side a left copy and each vertex of the
 other a right copy, joins them along the graph's edges and runs
 Hopcroft-Karp.  The double cover, the S-versus-N(S) matchings and the
-matchings between two vertex sets are all such matchings.
+matchings between two vertex sets are all such matchings.  The double
+cover and the general matching read the graph's neighbour lists, so a
+large sparse graph never builds its n-bit masks here; the matchings of
+small vertex sets read the masks.
 
 The general matching of a graph is computed once and cached by
 `_base_matching`, from passes of one blossom-contraction routine,
@@ -25,7 +28,7 @@ forest passes reach.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -80,14 +83,20 @@ def _match_sides(g: Graph, lmask: int, rmask: int
     array over all copies and the vertex of g behind each copy.  The left
     copies come first, in ascending vertex order, then the right copies:
     with both masks full, vertex u has copies u and u + n, the layout of
-    the double cover.  The masks may overlap.  Only the left copies have
-    adjacency lists, because Hopcroft-Karp scans the edges of left
-    vertices alone.
+    the double cover, whose lists are read off g's neighbour lists.  The
+    masks may overlap.  Only the left copies have adjacency lists,
+    because Hopcroft-Karp scans the edges of left vertices alone.
     """
-    lvs = list(bits(lmask))
-    rvs = list(bits(rmask))
-    index = {v: len(lvs) + i for i, v in enumerate(rvs)}
-    adj = [[index[w] for w in bits(g.adj[u] & rmask)] for u in lvs]
+    n = g.n
+    if lmask == rmask == g.full_mask:
+        lvs = rvs = list(range(n))
+        adj = [[n + w for w in nb] for nb in g.nbrs]
+    else:
+        lvs = list(bits(lmask))
+        rvs = list(bits(rmask))
+        index = {v: len(lvs) + i for i, v in enumerate(rvs)}
+        masks = g.adj
+        adj = [[index[w] for w in bits(masks[u] & rmask)] for u in lvs]
     match = _hopcroft_karp(len(lvs) + len(rvs), adj, list(range(len(lvs))))
     return adj, match, lvs + rvs
 
@@ -106,10 +115,18 @@ def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]
 
     Only the vertices listed in `left` are searched from; a right vertex
     is entered only through its mate's `dist`, which the search sets for
-    listed left vertices alone.
+    listed left vertices alone.  The first phase from the empty matching
+    takes each listed vertex's first free neighbour, so one greedy pass
+    stands in for it.
     """
     INF = n + 1
     match = [-1] * n
+    for u in left:
+        for v in adj[u]:
+            if match[v] == -1:
+                match[u] = v
+                match[v] = u
+                break
     dist = [0] * n
     while True:
         queue = deque()
@@ -160,7 +177,8 @@ def _flip(match: list[int], parent: list[int], u: int) -> None:
         u = nxt
 
 
-def _forest(adj: list[list[int]], match: list[int]) -> tuple[bool, bytearray]:
+def _forest(adj: Sequence[Sequence[int]],
+            match: list[int]) -> tuple[bool, bytearray]:
     """One pass of Edmonds' search: grow the alternating forest of `match`
     breadth first from all its exposed vertices, contracting blossoms.
 
@@ -248,12 +266,11 @@ def _base_matching(g: Graph) -> _MaxMatching:
     `max_matching_general` and `is_factor_critical` call on g: `_forest`
     passes from the empty matching until one flips nothing.  A graph with
     no edge has every vertex exposed and even, and runs no pass."""
-    adj = [list(bits(a)) for a in g.adj]
     match = [-1] * g.n
     even = bytearray(b"\1" * g.n)
     flipped = bool(g.edges)
     while flipped:
-        flipped, even = _forest(adj, match)
+        flipped, even = _forest(g.nbrs, match)
     return _MaxMatching(tuple(match), (g.n - match.count(-1)) // 2,
                         sum(1 << v for v in range(g.n) if even[v]))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import (NotUnicyclicError, PreconditionError, ScriptError)
 from .graphs import (Graph, VertexSet, connected_components,
@@ -152,6 +153,13 @@ def recognize(g: Graph,
 
     The default reduction picks the lowest-numbered reducible vertex; an
     order_seed randomizes the choices, which must not change the outcome.
+
+    A vertex off the cycle is reducible when it has two leaf children, or
+    one leaf child and no other child.  Reducible vertices wait in a heap,
+    and each one's leaf children in a heap of their own, both keyed by
+    label (by a seeded shuffle of the labels under order_seed).  A step
+    changes the degree of one surviving vertex at most, so the whole
+    reduction takes O(n log n).
     """
     if len(connected_components(g)) != 1:
         raise NotUnicyclicError("graph is not connected")
@@ -160,72 +168,79 @@ def recognize(g: Graph,
         raise NotUnicyclicError("graph is a tree, not unicyclic")
     if len(cycle) % 2 == 0:
         return None
-    rng = random.Random(order_seed) if order_seed is not None else None
-    cycset = set(cycle)
+    n = g.n
+    nbrs = g.nbrs
+    key = list(range(n))
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(key)
 
-    # Rooted forest: BFS from the cycle along non-cycle edges.
+    # Rooted forest: breadth first from the cycle, so each vertex off it
+    # hangs on its one neighbour closer to the cycle.
+    on_cycle = bytearray(n)
+    for v in cycle:
+        on_cycle[v] = 1
+    seen = bytearray(on_cycle)
     parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    cyc_edges = {tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)])))
-                 for i in range(len(cycle))}
-    frontier = list(cycle)
-    seen = set(cycle)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(g.neighbors(v)):
-                if w in seen or tuple(sorted((v, w))) in cyc_edges:
-                    continue
+    order = list(cycle)
+    for v in order:
+        for w in nbrs[v]:
+            if not seen[w]:
+                seen[w] = 1
                 parent[w] = v
-                children[v].append(w)
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
+                order.append(w)
 
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in range(g.n)}
+    deg = [len(nb) for nb in nbrs]
+    leaf_kids: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ready: list[tuple[int, int]] = []
     red: set[int] = set()
     black: set[int] = set()
 
-    def remove(v: int) -> None:
-        alive.discard(v)
-        for w in g.neighbors(v):
-            if w in alive:
-                deg[w] -= 1
+    def reducible(x: int) -> bool:
+        kids = len(leaf_kids[x])
+        return kids >= 2 or kids == 1 and deg[x] == 2
 
-    while len(alive) > len(cycset):
-        leaves = {v for v in alive if v not in cycset and deg[v] == 1}
-        if any(parent[v] in cycset for v in leaves):
+    def settle(v: int) -> bool:
+        """Record a change of v's degree; False if v became a leaf that
+        hangs directly on the cycle."""
+        if deg[v] == 1:
+            x = parent[v]
+            if on_cycle[x]:
+                return False
+            heappush(leaf_kids[x], (key[v], v))
+            v = x
+        if reducible(v):
+            heappush(ready, (key[v], v))
+        return True
+
+    for v in parent:
+        if deg[v] == 1 and not settle(v):
             return None  # a leaf hangs directly on the cycle
-        candidates = []
-        for x in alive - cycset:
-            leaf_children = [c for c in children[x]
-                             if c in alive and c in leaves]
-            if len(leaf_children) >= 2:
-                candidates.append((x, "multi", leaf_children))
-            elif len(leaf_children) == 1 and deg[x] == 2:
-                candidates.append((x, "pair", leaf_children))
-        if not candidates:
+    left = len(parent)
+    while left:
+        # Entries go stale as their vertices lose leaf children or degree;
+        # a removed vertex has no leaf children left.
+        while ready and not reducible(ready[0][1]):
+            heappop(ready)
+        if not ready:
             return None  # stuck: no reverse step applies
-        if rng is None:
-            x, kind, leaf_children = min(candidates)
-        else:
-            x, kind, leaf_children = rng.choice(sorted(candidates))
-        if kind == "multi":
-            y = min(leaf_children) if rng is None else rng.choice(
-                sorted(leaf_children))
-            black.add(y)
-            remove(y)
-        else:
-            y = leaf_children[0]
+        x = ready[0][1]
+        kids = leaf_kids[x]
+        y = heappop(kids)[1]
+        black.add(y)
+        deg[x] -= 1
+        left -= 1
+        if not kids:
+            # x had y as its only child: remove the pair.
             red.add(x)
-            black.add(y)
-            remove(y)
-            remove(x)
+            left -= 1
+            p = parent[x]
+            deg[p] -= 1
+            if not on_cycle[p] and not settle(p):
+                return None  # a leaf hangs directly on the cycle
     return ColoredUnicyclic(
         graph=g,
         cycle=tuple(cycle),
-        blue=frozenset(cycset),
+        blue=frozenset(cycle),
         red=frozenset(red),
         black=frozenset(black),
         parent=parent,
@@ -237,12 +252,14 @@ def is_ke(g: Graph, limit: int = ALPHA_LIMIT) -> bool:
     return alpha(g, limit) + mu(g) == g.n
 
 
-def disconnected_invariants(g: Graph, limit: int = ALPHA_LIMIT) -> dict:
+def disconnected_invariants(g: Graph, limit: int = ALPHA_LIMIT,
+                            whole_alpha: int | None = None) -> dict:
     """Split a disconnected unicyclic graph (cycle component + forest) and
     verify that its critical difference, independence and matching numbers
     all add up component-wise, with d_c equal to alpha minus mu.  Raises
     LimitExceededError when g has more than `limit` vertices, the largest
-    order whose alpha is computed exactly."""
+    order whose alpha is computed exactly.  A caller that already holds
+    alpha(g) passes it as `whole_alpha`."""
     from .critical import critical_difference
 
     comps = connected_components(g)
@@ -266,7 +283,8 @@ def disconnected_invariants(g: Graph, limit: int = ALPHA_LIMIT) -> dict:
         stats[name] = {
             "n": h.n,
             "d_c": critical_difference(h),
-            "alpha": alpha(h, limit),
+            "alpha": (whole_alpha if h is g and whole_alpha is not None
+                      else alpha(h, limit)),
             "mu": mu(h),
         }
     w, c, fo = stats["whole"], stats["cycle_component"], stats["forest"]

@@ -19,7 +19,7 @@ from . import gallai_edmonds as ge
 from . import independence as ind
 from . import matching as mt
 from . import unicyclic as uc
-from .graphs import (Graph, bits, connected_components,
+from .graphs import (Graph, connected_components,
                      cycle_space_dimension, delete_vertices, induced_subgraph,
                      neighborhood, set_of, to_graph6)
 
@@ -126,7 +126,8 @@ class GraphContext:
         if (len(connected_components(g)) < 2
                 or cycle_space_dimension(g) != 1 or self.ke is not False):
             return None
-        return uc.disconnected_invariants(g, self.limits.alpha_exact)
+        return uc.disconnected_invariants(g, self.limits.alpha_exact,
+                                          whole_alpha=self.alpha)
 
     @cached_property
     def core(self):
@@ -144,7 +145,7 @@ class GraphContext:
             stack = [start]
             while stack:
                 v = stack.pop()
-                for w in bits(self.g.adj[v]):
+                for w in self.g.nbrs[v]:
                     if color[w] == -1:
                         color[w] = color[v] ^ 1
                         stack.append(w)

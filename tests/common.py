@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
+from itertools import combinations
 
 from critindep import BuildScript, Graph
+from critindep.graphs import bits
 from critindep.verification import GraphContext, run_graph_checks
 
 
@@ -85,3 +88,46 @@ def coloring_from_json(text: str) -> dict:
 def run_check(ctx: GraphContext, check_id: str) -> str:
     """Status of one registry check: "pass", "fail" or "skipped"."""
     return run_graph_checks(ctx, [check_id])[check_id]
+
+
+def random_graphs(count: int, seed: int, max_n: int = 24) -> list[Graph]:
+    """Seeded random graphs: the first two have n = 0 and n = 1, and each
+    draws its edges among a random subset of its vertices, so many have
+    isolated vertices."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = i if i < 2 else rng.randint(2, max_n)
+        active = [v for v in range(n) if rng.random() < 0.8]
+        p = rng.random()
+        out.append(Graph.build(n, [e for e in combinations(active, 2)
+                                   if rng.random() < p]))
+    return out
+
+
+def induced_by_dict(g: Graph, u) -> tuple[Graph, tuple[int, ...]]:
+    """G[u] through a dict from vertex to new label: the route
+    `induced_subgraph` took before it read an index array."""
+    labels = tuple(sorted(set(u)))
+    index = {v: i for i, v in enumerate(labels)}
+    edges = [(index[a], index[b]) for a, b in g.edges
+             if a in index and b in index]
+    return Graph.build(len(labels), edges), labels
+
+
+def components_by_masks(g: Graph) -> list[frozenset[int]]:
+    """Connected components grown one bitmask frontier at a time, ordered
+    by smallest member."""
+    unseen = g.full_mask
+    comps = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            nb = 0
+            for v in bits(frontier):
+                nb |= g.adj[v]
+            frontier = nb & unseen & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        comps.append(frozenset(bits(comp)))
+    return comps

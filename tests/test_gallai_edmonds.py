@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 import critindep.gallai_edmonds as ge
 import critindep.matching as mt
 from critindep import (Graph, GallaiEdmondsPartition, LimitExceededError,
-                       check_theorem_53, ker, reports)
+                       check_theorem_53, diadem, ker, neighborhood, reports)
 from critindep.gallai_edmonds import gallai_edmonds, missed_vertices_oracle
-from critindep.verification import GraphContext, run_graph_checks
+from critindep.verification import GraphContext, random_gnp, run_graph_checks
 
-from common import cycle, empty, path, run_check, star
+from common import (components_by_masks, cycle, empty, induced_by_dict, path,
+                    random_graphs, run_check, star)
 from conftest import graphs
 
 
@@ -236,3 +238,89 @@ class TestCorollary56:
     @given(g=graphs(max_n=8))
     def test_holds_on_random_graphs(self, g):
         assert run_check(GraphContext(g), "corollary_5_6") == "pass"
+
+
+def partition_per_component(g: Graph) -> GallaiEdmondsPartition:
+    """The partition as it was built before the one-pass component cut:
+    A through the bitmasks, and each component of G[D] cut out of G[D] by
+    its own induced subgraph and matched, singletons included."""
+    base = mt.mu(g)
+    d_set = frozenset(v for v in range(g.n) if mt.mu(g, [v]) == base)
+    a_set = neighborhood(g, d_set) - d_set
+    c_set = frozenset(range(g.n)) - d_set - a_set
+    sub, labels = induced_by_dict(g, d_set)
+    comps = tuple((frozenset(labels[v] for v in comp),
+                   mt.is_factor_critical(induced_by_dict(sub, comp)[0]))
+                  for comp in components_by_masks(sub))
+    return GallaiEdmondsPartition(d_set, a_set, c_set, comps)
+
+
+def clauses_by_scan(g: Graph, p: GallaiEdmondsPartition,
+                    subset_limit: int = ge.SUBSET_CLAUSE_LIMIT) -> tuple:
+    """Clauses (ii) and (iii) of Theorem 5.3 as they were decided before
+    the vertex-to-component map: every subset of A and every A vertex
+    scans all of D's components."""
+    comp_sets = [comp for comp, _ in p.d_components]
+    avs = sorted(p.a_set)
+    touch = None
+    if len(avs) <= subset_limit:
+        touch = all(
+            sum(1 for comp in comp_sets if neighborhood(g, s) & comp)
+            >= size + 1
+            for size in range(1, len(avs) + 1)
+            for s in combinations(avs, size))
+    partner = {}
+    for u, v in mt.max_matching_general(g).edges:
+        partner[u], partner[v] = v, u
+    used = set()
+    for a in avs:
+        i = next((i for i, comp in enumerate(comp_sets)
+                  if partner.get(a) in comp), None)
+        if i is None or i in used:
+            return touch, False
+        used.add(i)
+    return touch, True
+
+
+def scrambled_partition(g: Graph, rng: random.Random
+                        ) -> GallaiEdmondsPartition:
+    """A partition-shaped value with random A and random D components,
+    so that the clauses fail as often as they pass."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    cut = rng.randint(0, g.n)
+    a_set = frozenset(order[:min(cut, 6)])
+    rest = order[cut:]
+    comps = []
+    while rest:
+        size = rng.randint(1, 3)
+        comps.append((frozenset(rest[:size]), True))
+        rest = rest[size:]
+    return GallaiEdmondsPartition(frozenset().union(*(c for c, _ in comps)),
+                                  a_set, frozenset(), tuple(comps))
+
+
+class TestSparseRoutes:
+    GRAPHS = random_graphs(2000, seed=53, max_n=18)
+
+    def test_partition_equals_the_per_component_route(self):
+        for g in self.GRAPHS:
+            assert gallai_edmonds(g) == partition_per_component(g)
+
+    def test_clause_verdicts_equal_the_component_scan(self):
+        rng = random.Random(54)
+        verdicts = set()
+        for g in self.GRAPHS[:600]:
+            for p in (gallai_edmonds(g), scrambled_partition(g, rng)):
+                report = check_theorem_53(g, p)
+                got = (report["a_subsets_touch_components"],
+                       report["a_matched_to_distinct_components"])
+                assert got == clauses_by_scan(g, p)
+                verdicts.add(got)
+        assert {(True, True), (False, False)} <= verdicts
+
+    def test_polynomial_routes_build_no_bitmasks(self):
+        g = random_gnp(5000, 3 / 5000, random.Random(5))
+        for route in (ker, diadem, gallai_edmonds, mt.max_matching_general):
+            route(g)
+        assert "nbrs" in vars(g) and "adj" not in vars(g)

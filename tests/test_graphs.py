@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,10 @@ from critindep import (FormatError, Graph, InvalidVertexError,
                        delete_vertices, find_unique_cycle, generate_random,
                        induced_subgraph, neighborhood, parse_edge_list,
                        parse_graph6, to_edge_list, to_graph6)
-from critindep.graphs import MAX_VERTICES, cycle_space_dimension
+from critindep.graphs import MAX_VERTICES, bits, cycle_space_dimension
 
-from common import complete, cycle, empty, path, petersen, star
+from common import (complete, components_by_masks, cycle, empty,
+                    induced_by_dict, path, petersen, random_graphs, star)
 from conftest import graphs
 
 
@@ -93,7 +96,14 @@ class TestConstruction:
 
     def test_equality_reads_the_vertex_count_and_edges_only(self):
         p3 = path(3)
-        assert p3 == Graph(3, ((0, 1), (1, 2)), (0, 0, 0))
+        assert p3.nbrs == ((1,), (0, 2), (1,)) and p3.adj == (2, 5, 2)
+        # The adjacency caches stay out of equality and hashing: a twin
+        # that built neither, or holds a wrong one, is the same graph.
+        twin = Graph.build(3, [(1, 2), (0, 1)])
+        assert p3 == twin and hash(p3) == hash(twin)
+        assert "nbrs" not in vars(twin) and "adj" not in vars(twin)
+        vars(twin)["adj"] = (0, 0, 0)
+        assert p3 == twin and hash(p3) == hash(twin)
         assert p3 != Graph.build(4, p3.edges)
         assert p3 != Graph.build(3, [(0, 1)])
         assert p3 != (3, p3.edges)
@@ -171,6 +181,53 @@ class TestSubgraphs:
         g = star(3)
         sub, _ = delete_vertices(g, [])
         assert sub == g
+
+
+class TestSparseFirst:
+    """The neighbour lists against the bitmasks, and the one-pass
+    deletion and component routes against the routes they replaced."""
+
+    GRAPHS = random_graphs(2000, seed=16)
+
+    def test_the_corpus_has_tiny_graphs_and_isolated_vertices(self):
+        assert [g.n for g in self.GRAPHS[:2]] == [0, 1]
+        assert sum(any(not nb for nb in g.nbrs) for g in self.GRAPHS) > 1000
+
+    def test_neighbour_lists_are_the_bitmasks_in_order(self):
+        for g in self.GRAPHS:
+            assert len(g.nbrs) == len(g.adj) == g.n
+            for v in range(g.n):
+                assert list(g.nbrs[v]) == list(bits(g.adj[v]))
+
+    def test_each_representation_is_built_on_first_use(self):
+        g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+        assert "nbrs" not in vars(g) and "adj" not in vars(g)
+        assert connected_components(g) == [frozenset(range(4))]
+        assert "nbrs" in vars(g) and "adj" not in vars(g)
+        assert neighborhood(g, [1]) == {0, 2}
+        assert "adj" in vars(g)
+
+    def test_subgraphs_equal_the_dict_route(self):
+        rng = random.Random(17)
+        for g in self.GRAPHS:
+            for _ in range(2):
+                keep = [v for v in range(g.n) if rng.random() < 0.6]
+                gone = sorted(set(range(g.n)) - set(keep))
+                rng.shuffle(keep)
+                expected = induced_by_dict(g, keep)
+                assert induced_subgraph(g, keep) == expected
+                assert delete_vertices(g, gone + gone[:1]) == expected
+
+    def test_components_equal_the_mask_route(self):
+        for g in self.GRAPHS:
+            assert connected_components(g) == components_by_masks(g)
+
+    def test_deletion_rejects_a_vertex_out_of_range(self):
+        for bad in (-1, 5):
+            with pytest.raises(InvalidVertexError):
+                delete_vertices(path(5), [bad])
+            with pytest.raises(InvalidVertexError):
+                induced_subgraph(path(5), [0, bad])
 
 
 class TestComponentsAndCycles:

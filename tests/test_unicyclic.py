@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,51 @@ class TestRecognize:
         assert shuffled is not None
         assert (shuffled.red, shuffled.black) == (cu.red, cu.black)
 
+    def test_relabelled_generated_graphs(self):
+        rng = random.Random(9005)
+        for _ in range(500):
+            _, cu = generate_random(rng.choice([3, 5, 7, 9]),
+                                    rng.randint(1, 20), rng.randint(0, 20),
+                                    seed=rng.randrange(10 ** 6))
+            perm = list(range(cu.graph.n))
+            rng.shuffle(perm)
+            g = Graph.build(cu.graph.n,
+                            [(perm[u], perm[v]) for u, v in cu.graph.edges])
+            want = tuple(frozenset(perm[v] for v in part)
+                         for part in (cu.blue, cu.red, cu.black))
+            for order_seed in (None, rng.randrange(10 ** 6)):
+                got = recognize(g, order_seed=order_seed)
+                assert (got.blue, got.red, got.black) == want
+                assert got.parent == {perm[v]: perm[p]
+                                      for v, p in cu.parent.items()}
+
+    def test_none_exactly_on_ke_graphs(self):
+        # A leaf added anywhere to a generated graph keeps it connected
+        # and unicyclic; it is KE, and has no coloring, or it is not.
+        rng = random.Random(4)
+        outcomes = set()
+        for _ in range(300):
+            _, cu = generate_random(rng.choice([3, 5]), rng.randint(1, 6),
+                                    rng.randint(0, 6),
+                                    seed=rng.randrange(10 ** 6))
+            h = Graph.build(cu.graph.n + 1, [*cu.graph.edges,
+                                             (rng.randrange(cu.graph.n),
+                                              cu.graph.n)])
+            got = recognize(h)
+            assert (got is None) == is_ke(h)
+            seeded = recognize(h, order_seed=rng.randrange(10 ** 6))
+            assert (seeded is None) == (got is None)
+            if got is not None:
+                assert (seeded.red, seeded.black) == (got.red, got.black)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_large_generated_graph(self):
+        _, cu = generate_random(5, 3000, 3000, seed=1)
+        got = recognize(cu.graph)
+        assert cu.graph.n == 9005
+        assert (got.red, got.black) == (cu.red, cu.black)
+
     def test_figure2_roundtrip(self):
         cu = generate(figure2_script())
         got = recognize(cu.graph)
@@ -188,13 +234,17 @@ class TestDisconnectedInvariants:
 
     def test_one_invariants_report_per_analyze(self, monkeypatch):
         # A triangle with the pendant path 2-3-4, plus the edge 5-6: alpha
-        # runs once for the graph and once per part inside the one report.
+        # runs once for the whole graph, whose value the context shares
+        # with the report, and once per part inside the one report.
         g = Graph.build(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (5, 6)])
         runs = {"invariants": 0, "alpha": 0}
+        sizes = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 runs[name] += 1
+                if name == "alpha":
+                    sizes.append(args[0].n)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -204,7 +254,9 @@ class TestDisconnectedInvariants:
         monkeypatch.setattr(unicyclic, "alpha", counted_alpha)
         monkeypatch.setattr(independence, "alpha", counted_alpha)
         report = reports.analyze(g)
-        assert runs == {"invariants": 1, "alpha": 4}
+        assert runs == {"invariants": 1, "alpha": 3}
+        assert sizes == [7, 5, 2]
+        assert report["unicyclic"]["invariants"]["whole"]["alpha"] == 3
         assert report["ke_status"] is False
         assert report["unicyclic"]["verdict"] == "non-KE"
         assert all(report["unicyclic"]["invariants"]["checks"].values())
