@@ -5,9 +5,9 @@ frozensets.  A graph is its vertex count and sorted edge tuple; it carries
 two adjacency representations, each built in one pass over the edges the
 first time a routine reads it:
 
-* `nbrs`, sorted neighbour tuples, for every polynomial route: matchings,
-  the double cover, deletions, components and the unique cycle.  They
-  cost O(n + m).
+* `nbrs`, sorted neighbour tuples, for the polynomial routes: the double
+  cover, the general matching, deletions, components and the unique
+  cycle.  They cost O(n + m).
 * `adj`, one integer bitmask per vertex (bit w set means w is a
   neighbour), for the exhaustive 2^n subset oracles and the small-set
   routines, where union and intersection take one machine operation per
