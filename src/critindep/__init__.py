@@ -12,9 +12,9 @@ from .matching import (Matching, has_perfect_matching, is_factor_critical,
                        matching_from_into, max_matching_bipartite,
                        max_matching_bruteforce, max_matching_general, mu)
 from .critical import (HXGadget, MinimalDecomposition, build_hx,
-                       critical_difference, critical_difference_oracle,
-                       decompose_minimal, diadem, diadem_oracle,
-                       enumerate_critical_sets,
+                       cover_ker, critical_difference,
+                       critical_difference_oracle, decompose_minimal, diadem,
+                       diadem_oracle, enumerate_critical_sets,
                        enumerate_minimal_positive_sets, ker,
                        min_cardinality_positive_subset, verify_hx_ker)
 from .unicyclic import (BuildScript, ColoredUnicyclic, disconnected_invariants,

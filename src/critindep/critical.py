@@ -5,8 +5,14 @@ have strictly smaller difference.
 
 Polynomial routes, all read off one matching of the double cover:
   * critical difference via the bipartite double cover (d_c = n - mu(cover)),
-  * ker via per-vertex deletion (v is in ker iff d_c drops by one), each
-    d_c(G - v) a lookup in the cover's alternating structure,
+  * ker by two routes.  `ker` keeps the definition by per-vertex
+    deletion (v is in ker iff d_c drops by one), each d_c(G - v) a
+    lookup in the cover's alternating structure; `GraphContext.ker`, and
+    so the report, `hx` and every registry check that reads ker, take
+    this one, which `ker_is_intersection` holds against the critical
+    sets.  `cover_ker` reads the same set straight off the slack left
+    copies, with no lookups and no components; `theorem_2_5ii` takes it
+    for each ker(G - v).
   * diadem membership read off the same structure: v is in the diadem
     iff some minimum vertex cover of the double cover misses both copies
     of v.
@@ -54,7 +60,7 @@ from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import NamedTuple
 
 from .errors import LimitExceededError, PreconditionError
@@ -73,7 +79,7 @@ SUBSET_SEARCH_LIMIT = 25
 
 class _Alternating(NamedTuple):
     """The alternating structure of one maximum matching of a double cover,
-    over the left copies (see `_alternating`)."""
+    over the left copies (see `_slack` and `_alternating`)."""
 
     slack: bytearray    # 1 where an exposed left copy reaches the copy
     comp: list[int]     # component of each other copy, -1 at slack ones
@@ -87,36 +93,41 @@ class _Cover:
     The cover has a left copy u and a right copy u + n of every vertex u,
     and joins u to v + n and v to u + n for each edge uv.  `nbrs` lists
     the right neighbours of every left copy, as `_match_sides` builds
-    them; nothing here walks out of a right copy.  `alternating` holds
-    the matching's alternating structure once a single-vertex deletion or
-    `diadem` has asked for it.
+    them; nothing here walks out of a right copy.  The slack flags and
+    the alternating structure are built on first use: `slack()` for
+    `cover_ker` and `structure()`, which adds the components and their
+    reach sets, for a single-vertex deletion or `diadem`.
     """
 
     nbrs: list[list[int]]
     match: tuple[int, ...]
     dc: int
+    slack_flags: bytearray | None = None
     alternating: _Alternating | None = None
+
+    def slack(self) -> bytearray:
+        if self.slack_flags is None:
+            self.slack_flags = _slack(self.nbrs, self.match)
+        return self.slack_flags
 
     def structure(self) -> _Alternating:
         if self.alternating is None:
-            self.alternating = _alternating(self.nbrs, self.match)
+            self.alternating = _alternating(self.nbrs, self.match,
+                                            self.slack())
         return self.alternating
 
 
 @lru_cache(maxsize=4)
 def _double_cover(g: Graph) -> _Cover:
-    """The double cover of g, shared by every `critical_difference` and
-    `diadem` call on g."""
+    """The double cover of g, shared by every `critical_difference`,
+    `cover_ker` and `diadem` call on g."""
     adj, match, _ = _match_sides(g, g.full_mask, g.full_mask)
     return _Cover(adj, tuple(match), match[:g.n].count(-1))
 
 
-def _alternating(nbrs: list[list[int]],
-                 match: tuple[int, ...]) -> _Alternating:
-    """The slack left copies of a maximum matching M of the double cover,
-    and the strongly connected components of the digraph x -> mate(r),
-    over r in the right neighbours of x, on the other left copies, each
-    with the bitset of copies it reaches.
+def _slack(nbrs: list[list[int]], match: tuple[int, ...]) -> bytearray:
+    """1 at each slack left copy of a maximum matching M of the double
+    cover, else 0.
 
     A left copy is slack when an alternating path from an exposed left
     copy reaches it (exposed left, a right neighbour, that neighbour's
@@ -125,12 +136,6 @@ def _alternating(nbrs: list[list[int]],
     maximum.  A copy v is slack iff v + n is missed by some maximum
     matching too: the mirror that swaps the copies maps maximum matchings
     to maximum matchings.
-
-    Slack copies only lead to slack copies, so the digraph is taken on
-    the other copies alone.  Its strongly connected components come out
-    of Tarjan's search sinks first, so each component's reach (a big
-    integer bitset over vertices) is its members OR the reach of the
-    components its edges enter, all finished before it.
     """
     n = len(match) // 2
     slack = bytearray(n)
@@ -143,6 +148,23 @@ def _alternating(nbrs: list[list[int]],
             if not slack[y]:
                 slack[y] = 1
                 stack.append(y)
+    return slack
+
+
+def _alternating(nbrs: list[list[int]], match: tuple[int, ...],
+                 slack: bytearray) -> _Alternating:
+    """The strongly connected components of the digraph x -> mate(r),
+    over r in the right neighbours of x, on the left copies of a maximum
+    matching M of the double cover that are not slack (see `_slack`),
+    each with the bitset of copies it reaches.
+
+    Slack copies only lead to slack copies, so the digraph is taken on
+    the other copies alone.  Its strongly connected components come out
+    of Tarjan's search sinks first, so each component's reach (a big
+    integer bitset over vertices) is its members OR the reach of the
+    components its edges enter, all finished before it.
+    """
+    n = len(match) // 2
     succ = [[y for r in nbrs[x] if (y := match[r]) != -1 and not slack[y]]
             for x in range(n)]
     index = [-1] * n
@@ -198,7 +220,7 @@ def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
     By Koenig's theorem the cover's matching deficiency on one side
     equals the maximum difference.  The cover's maximum matching M is
     computed once per graph, and one deleted vertex v is answered from
-    M's alternating structure (see `_alternating`):
+    M's alternating structure (see `_slack` and `_alternating`):
 
     * v slack: some maximum matching M1 misses v.  Its mirror misses
       v + n, and the component at v + n of the symmetric difference of M1
@@ -339,6 +361,21 @@ def ker(g: Graph) -> VertexSet:
         if critical_difference(g, [v]) == dc - 1:
             members.append(v)
     return frozenset(members)
+
+
+def cover_ker(g: Graph) -> VertexSet:
+    """ker(g) read off the cover matching: the vertices whose left copy is
+    slack (see `_slack`).
+
+    v is in ker iff d_c(g - v) = d_c - 1, and `critical_difference` shows
+    that a slack v gives d_c - 1 and any other v gives d_c or d_c + 1.  So
+    this is `ker`, without its n single-deletion lookups and without the
+    components and reach sets that the lookups of non-slack vertices read.
+    `ker` keeps the deletion definition: it is the route that
+    `ker_is_intersection` holds against the critical sets, and the
+    benchmark's self-test pins its n + 1 `critical_difference` calls.
+    """
+    return frozenset(compress(range(g.n), _double_cover(g).slack()))
 
 
 def diadem(g: Graph) -> VertexSet:

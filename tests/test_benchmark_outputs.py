@@ -1,0 +1,32 @@
+"""The analyze-sparse benchmark commands give the recorded outputs.
+
+The benchmark in `perfbench/` judges every command it times against the
+digests in `perfbench/reference`; this runs the seed-0 analyze-sparse
+commands once in-process and judges them the same way, so a change to an
+analyze report shows up here and not only in a benchmark run.  Nothing
+under `perfbench/` is written.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from critindep.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import outputs  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_analyze_sparse_seed_0_matches_the_reference(tmp_path, capsys):
+    workloads.write_corpus(0, tmp_path)
+    commands = workloads.commands("analyze-sparse", 0, tmp_path)
+    reference = outputs.read_reference(outputs.REFERENCE_DIR,
+                                       "analyze-sparse")[0]
+    assert len(commands) == len(reference) == 4
+    for command, ref in zip(commands, reference):
+        result = {"rc": main(list(command.argv)),
+                  "stdout": capsys.readouterr().out}
+        assert outputs.judge("analyze-sparse", command, result, ref) == (1, 0)

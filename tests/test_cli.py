@@ -359,6 +359,23 @@ class TestVerify:
         assert main(["verify", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("family", ["random-gnp", "random-bipartite"])
+    def test_random_family_above_the_size_cap_exits_2(self, capsys, family):
+        assert main(["verify", "--family", family, "--min-n", "2001",
+                     "--max-n", "2001", "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {family} family supports n <= 2000\n"
+
+    @pytest.mark.parametrize("family", ["random-gnp", "random-bipartite"])
+    def test_random_family_at_the_size_cap_is_accepted(self, capsys,
+                                                       family):
+        # No samples, so the cap is checked without drawing a graph.
+        code, report = run_json(capsys, [
+            "verify", "--family", family, "--max-n", "2000",
+            "--samples", "0", "--json", "--no-timestamp"])
+        assert code == 0 and report["graphs"] == 0
+
     def test_text_output(self, capsys):
         assert main(["verify", "--family", "exhaustive-labeled",
                      "--max-n", "2", "--checks", "dc_oracle_agreement",

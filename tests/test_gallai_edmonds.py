@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,8 @@ import critindep.matching as mt
 from critindep import (Graph, GallaiEdmondsPartition, LimitExceededError,
                        check_theorem_53, diadem, ker, neighborhood, reports)
 from critindep.gallai_edmonds import gallai_edmonds, missed_vertices_oracle
-from critindep.verification import GraphContext, random_gnp, run_graph_checks
+from critindep.verification import (GraphContext, Limits, random_gnp,
+                                    run_graph_checks)
 
 from common import (components_by_masks, cycle, empty, induced_by_dict, path,
                     random_graphs, run_check, star)
@@ -319,8 +320,44 @@ class TestSparseRoutes:
                 verdicts.add(got)
         assert {(True, True), (False, False)} <= verdicts
 
+    def test_ker_checks_equal_the_mask_route(self):
+        # theorem_2_2 and diadem_avoids_ker_neighborhood read neighbour
+        # lists; the true sets, critical sets and random sets must get the
+        # verdicts of the bitmask route.  A critical set has d = d_c, so
+        # with core out of reach (omega limit 0) only independence
+        # decides theorem_2_2 on it.
+        rng = random.Random(55)
+        verdicts = set()
+        for g in self.GRAPHS[:300]:
+            truth = GraphContext(g)
+            drawn = [frozenset(v for v in range(g.n) if rng.random() < 0.3)
+                     for _ in range(2)]
+            claims = [(truth.ker, truth.diadem), drawn]
+            claims += [(x, truth.diadem)
+                       for x in (truth.critical_sets or [])[:3]]
+            for (kernel, dia), limits in product(claims,
+                                                 (Limits(), Limits(omega=0))):
+                ctx = GraphContext(g, limits)
+                ctx.ker, ctx.diadem = kernel, dia
+                kmask = g.mask_of(kernel)
+                want = (not g.neighborhood_mask(kmask) & kmask
+                        and g.difference_mask(kmask) == ctx.dc
+                        and (ctx.core is None or kernel <= ctx.core),
+                        not dia & neighborhood(g, kernel))
+                got = run_graph_checks(ctx, [
+                    "theorem_2_2", "diadem_avoids_ker_neighborhood"])
+                assert tuple(got.values()) == tuple(
+                    "pass" if ok else "fail" for ok in want)
+                verdicts.add(want)
+        assert {(True, True), (False, False)} <= verdicts
+
     def test_polynomial_routes_build_no_bitmasks(self):
         g = random_gnp(5000, 3 / 5000, random.Random(5))
         for route in (ker, diadem, gallai_edmonds, mt.max_matching_general):
             route(g)
+        ctx = GraphContext(g)
+        assert run_graph_checks(ctx, ["theorem_2_2",
+                                      "diadem_avoids_ker_neighborhood"]) \
+            == {"theorem_2_2": "pass",
+                "diadem_avoids_ker_neighborhood": "pass"}
         assert "nbrs" in vars(g) and "adj" not in vars(g)

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critindep import (Graph, critical_difference, critical_difference_oracle,
+from critindep import (Graph, cover_ker, critical_difference,
+                       critical_difference_oracle,
                        diadem, diadem_oracle, is_factor_critical, ker,
                        max_matching_bruteforce, max_matching_general, mu)
 from critindep.critical import _double_cover
@@ -28,7 +29,9 @@ from critindep.gallai_edmonds import gallai_edmonds
 from critindep.graphs import (bits, connected_components, delete_vertices,
                               induced_subgraph, neighborhood)
 
-from common import cycle, path, petersen, star
+from critindep.verification import GraphContext, all_labeled_graphs
+
+from common import cycle, path, petersen, random_graphs, run_check, star
 from conftest import graphs
 
 
@@ -204,6 +207,61 @@ def test_structures_match_the_deletion_route_on_random_graphs():
             assert ker(g) == _ker_by_deletion(g)
             assert diadem(g) == _diadem_by_deletion(g)
             assert _partition_fields(g) == _partition_by_deletion(g)
+
+
+def test_cover_ker_equals_ker_on_every_labeled_graph_up_to_six():
+    count = 0
+    for n in range(7):
+        for g in all_labeled_graphs(n):
+            assert cover_ker(g) == ker(g)
+            count += 1
+    assert count == 33_868
+
+
+def test_cover_ker_equals_ker_on_sparse_random_graphs():
+    rng = random.Random(1707)
+    for _ in range(2000):
+        n = rng.randint(2, 200)
+        edges = {tuple(sorted(rng.sample(range(n), 2)))
+                 for _ in range(round(rng.uniform(0.25, 2.5) * n))}
+        g = Graph.build(n, sorted(edges))
+        assert cover_ker(g) == ker(g)
+
+
+def _theorem_2_5ii_by_ker(g: Graph, kernel: frozenset[int]) -> bool:
+    for v in kernel:
+        h, labels = delete_vertices(g, [v])
+        if not {labels[u] for u in ker(h)} <= kernel - {v}:
+            return False
+    return True
+
+
+def test_theorem_2_5ii_verdicts_match_the_ker_route():
+    # The check runs on the true ker and on two tampered ones, so that
+    # both verdicts occur.
+    rng = random.Random(25)
+    verdicts = set()
+    for g in random_graphs(300, seed=25):
+        kernel = ker(g)
+        for claimed in (kernel, kernel - {min(kernel, default=0)},
+                        frozenset(v for v in range(g.n)
+                                  if rng.random() < 0.5)):
+            ctx = GraphContext(g)
+            ctx.ker = claimed
+            want = _theorem_2_5ii_by_ker(g, claimed)
+            assert run_check(ctx, "theorem_2_5ii") == ("pass" if want
+                                                       else "fail")
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_theorem_2_5ii_fails_on_a_tampered_ker():
+    # ker(K1,3) = {1, 2, 3}; with {1, 2} claimed, ker(G - 1) = {2, 3}
+    # leaves the claimed set minus 1.
+    assert run_check(GraphContext(star(3)), "theorem_2_5ii") == "pass"
+    ctx = GraphContext(star(3))
+    ctx.ker = frozenset({1, 2})
+    assert run_check(ctx, "theorem_2_5ii") == "fail"
 
 
 def test_factor_critical_matches_the_deletion_route():
