@@ -15,7 +15,7 @@ from .critical import (HXGadget, MinimalDecomposition, build_hx,
                        cover_ker, critical_difference,
                        critical_difference_oracle, decompose_minimal, diadem,
                        diadem_oracle, enumerate_critical_sets,
-                       enumerate_minimal_positive_sets, ker,
+                       enumerate_minimal_positive_sets, ker, ker_without,
                        min_cardinality_positive_subset, verify_hx_ker)
 from .unicyclic import (BuildScript, ColoredUnicyclic, disconnected_invariants,
                         generate, generate_random, is_ke, parse_script,

@@ -11,8 +11,11 @@ Polynomial routes, all read off one matching of the double cover:
     so the report, `hx` and every registry check that reads ker, take
     this one, which `ker_is_intersection` holds against the critical
     sets.  `cover_ker` reads the same set straight off the slack left
-    copies, with no lookups and no components; `theorem_2_5ii` takes it
-    for each ker(G - v).
+    copies, with no lookups and no components.
+  * ker(G - v) for v in ker, by `ker_without`: the cover's matching is
+    repaired into one of the cover of G - v by one path flip and at most
+    one augmenting search, and one slack pass reads the set off it, with
+    no fresh matching; `theorem_2_5ii` takes it for each ker vertex.
   * diadem membership read off the same structure: v is in the diadem
     iff some minimum vertex cover of the double cover misses both copies
     of v.
@@ -24,9 +27,10 @@ matching of S into N(S) (Hall's defect formula).  One maximum matching
 M of the double cover is computed per graph and kept in a small cache,
 together with its alternating structure, built on first use: the slack
 left copies (those an alternating path from an exposed left copy
-reaches) and, over the other left copies, the strongly connected
-components of the digraph x -> mate(r), r a right neighbour of x, with
-the set each component reaches.
+reaches), each with the parent that leads back to its exposed copy, and,
+over the other left copies, the strongly connected components of the
+digraph x -> mate(r), r a right neighbour of x, with the set each
+component reaches.
 
   * d_c(G - v) is d_c - 1 if v is slack.  Otherwise both copies of v are
     matched in every maximum matching, and only an alternating path
@@ -77,6 +81,16 @@ SUBSET_SEARCH_LIMIT = 25
 # Critical difference
 # ---------------------------------------------------------------------------
 
+class _Slack(NamedTuple):
+    """The slack pass over one maximum matching of a double cover (see
+    `_slack`)."""
+
+    flags: bytearray    # 1 at each slack left copy
+    parent: list[int]   # the copy whose right neighbour first reached it
+    exposed: bytearray  # 1 at each exposed left copy
+    roots: list[int]    # the exposed left copies that have neighbours
+
+
 class _Alternating(NamedTuple):
     """The alternating structure of one maximum matching of a double cover,
     over the left copies (see `_slack` and `_alternating`)."""
@@ -93,27 +107,34 @@ class _Cover:
     The cover has a left copy u and a right copy u + n of every vertex u,
     and joins u to v + n and v to u + n for each edge uv.  `nbrs` lists
     the right neighbours of every left copy, as `_match_sides` builds
-    them; nothing here walks out of a right copy.  The slack flags and
-    the alternating structure are built on first use: `slack()` for
-    `cover_ker` and `structure()`, which adds the components and their
-    reach sets, for a single-vertex deletion or `diadem`.
+    them; nothing here walks out of a right copy.  The slack pass and
+    the alternating structure are built on first use: `slack()`, the
+    slack flags with each slack copy's parent, the exposed copies and
+    those of them that have neighbours, for `cover_ker` and `ker_without`;
+    and `structure()`, which adds the components and their reach sets,
+    for a single-vertex deletion or `diadem`.
     """
 
     nbrs: list[list[int]]
     match: tuple[int, ...]
     dc: int
-    slack_flags: bytearray | None = None
+    slack_pass: _Slack | None = None
     alternating: _Alternating | None = None
 
-    def slack(self) -> bytearray:
-        if self.slack_flags is None:
-            self.slack_flags = _slack(self.nbrs, self.match)
-        return self.slack_flags
+    def slack(self) -> _Slack:
+        if self.slack_pass is None:
+            n = len(self.nbrs)
+            exposed = bytearray(m == -1 for m in self.match[:n])
+            roots = [u for u in compress(range(n), exposed) if self.nbrs[u]]
+            self.slack_pass = _Slack(
+                *_slack(self.nbrs, self.match, exposed, roots),
+                exposed, roots)
+        return self.slack_pass
 
     def structure(self) -> _Alternating:
         if self.alternating is None:
             self.alternating = _alternating(self.nbrs, self.match,
-                                            self.slack())
+                                            self.slack().flags)
         return self.alternating
 
 
@@ -125,9 +146,10 @@ def _double_cover(g: Graph) -> _Cover:
     return _Cover(adj, tuple(match), match[:g.n].count(-1))
 
 
-def _slack(nbrs: list[list[int]], match: tuple[int, ...]) -> bytearray:
-    """1 at each slack left copy of a maximum matching M of the double
-    cover, else 0.
+def _slack(nbrs: list[list[int]], match: Sequence[int], exposed: bytearray,
+           roots: list[int]) -> tuple[bytearray, list[int]]:
+    """The slack flags of a maximum matching M of the double cover, 1 at
+    each slack left copy, and the parent of each copy the pass reaches.
 
     A left copy is slack when an alternating path from an exposed left
     copy reaches it (exposed left, a right neighbour, that neighbour's
@@ -136,19 +158,25 @@ def _slack(nbrs: list[list[int]], match: tuple[int, ...]) -> bytearray:
     maximum.  A copy v is slack iff v + n is missed by some maximum
     matching too: the mirror that swaps the copies maps maximum matchings
     to maximum matchings.
+
+    `exposed` flags the exposed left copies and `roots` lists those with
+    neighbours, where the pass starts.  The parent of a reached copy y is
+    the copy x whose right neighbour mate(y) first reached it, so the
+    parents lead from y back to an exposed copy along an even
+    alternating path; it is -1 at the copies the pass does not reach.
     """
-    n = len(match) // 2
-    slack = bytearray(n)
-    stack = [u for u in range(n) if match[u] == -1]
-    for u in stack:
-        slack[u] = 1
+    flags = bytearray(exposed)
+    parent = [-1] * len(flags)
+    stack = list(roots)
     while stack:
-        for r in nbrs[stack.pop()]:
+        x = stack.pop()
+        for r in nbrs[x]:
             y = match[r]
-            if not slack[y]:
-                slack[y] = 1
+            if not flags[y]:
+                flags[y] = 1
+                parent[y] = x
                 stack.append(y)
-    return slack
+    return flags, parent
 
 
 def _alternating(nbrs: list[list[int]], match: tuple[int, ...],
@@ -375,7 +403,101 @@ def cover_ker(g: Graph) -> VertexSet:
     `ker_is_intersection` holds against the critical sets, and the
     benchmark's self-test pins its n + 1 `critical_difference` calls.
     """
-    return frozenset(compress(range(g.n), _double_cover(g).slack()))
+    return frozenset(compress(range(g.n), _double_cover(g).slack().flags))
+
+
+def ker_without(g: Graph, v: int) -> VertexSet:
+    """ker(g - v) for a vertex v of ker(g), in g's labels, read off a
+    repair of g's cached cover matching M rather than a fresh cover of
+    g - v.
+
+    v is slack, so the cover of g - v keeps a matching of M's size (see
+    `critical_difference`).  Three steps on a copy of M give one:
+
+    1. flip the even alternating path from v back to its exposed root,
+       which the slack pass's parents give; v's left copy is then
+       exposed, and dropping it loses no pair.  Nothing moves when v is
+       exposed already.
+    2. drop v + n, which frees b = mate(v + n) unless v + n is exposed,
+       and search once from b for an augmenting path that keeps clear of
+       v + n.  One exists, since the matching has lost one pair, and only
+       b can start it: a path from another exposed copy misses v + n and
+       the freed b, so it would augment the maximum matching of step 1.
+       The flip does not move b: some maximum matching misses v + n (the
+       mirror of one that misses v), so v + n is matched to no slack
+       copy, and the flipped path holds slack copies and their mates.
+    3. run one slack pass that skips v + n, from the exposed copies that
+       have neighbours: M's, less the root of step 1, since b is matched
+       again and an augmenting path exposes no left copy.
+
+    The slack copies of that pass, other than v, are ker(g - v) (see
+    `cover_ker`).
+    """
+    cover = _double_cover(g)
+    slack, _, exposed, roots = cover.slack()
+    if not 0 <= v < g.n or not slack[v]:
+        raise PreconditionError(f"vertex {v} is not in ker")
+    match, root = _repair(cover, v)
+    start = bytearray(exposed)
+    start[root] = 0
+    start[v] = 1
+    flags, _ = _slack(cover.nbrs, match, start,
+                      [u for u in roots if u != root])
+    flags[v] = 0
+    return frozenset(compress(range(g.n), flags))
+
+
+def _repair(cover: _Cover, v: int) -> tuple[list[int], int]:
+    """Steps 1 and 2 of `ker_without` for a slack v: a maximum matching
+    of the cover of g - v, on a copy of the cover's match array, and the
+    root whose path step 1 flipped (v itself when v is exposed).
+
+    In the copy, v is exposed and v + n is tied to v: both searches
+    count v as visited, so neither passes through v + n.
+    """
+    n = len(cover.nbrs)
+    parent = cover.slack().parent
+    match = list(cover.match)
+    y, r = v, match[v]
+    while r != -1:
+        x = parent[y]
+        match[r] = x
+        r, match[x] = match[x], r
+        y = x
+    match[v] = -1
+    b = match[v + n]
+    match[v + n] = v
+    if b != -1:
+        seen = bytearray(n)
+        seen[v] = 1
+        _augment(cover.nbrs, match, b, seen)
+    return match, y
+
+
+def _augment(nbrs: list[list[int]], match: list[int], b: int,
+             seen: bytearray) -> None:
+    """Flip a shortest augmenting path from the left copy b, which the
+    caller has freed, found by a breadth-first search that enters no left
+    copy flagged in `seen`."""
+    seen[b] = 1
+    back: dict[int, int] = {}
+    queue = [b]
+    for x in queue:
+        for r in nbrs[x]:
+            y = match[r]
+            if y == -1:
+                # Each copy on the path takes the right copy it leads
+                # through, and hands its old mate on to the copy before.
+                while True:
+                    match[r] = x
+                    r, match[x] = match[x], r
+                    if x == b:
+                        return
+                    x = back[x]
+            if not seen[y]:
+                seen[y] = 1
+                back[y] = x
+                queue.append(y)
 
 
 def diadem(g: Graph) -> VertexSet:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
 from math import isqrt
 
 from .errors import FormatError, InvalidVertexError, NotUnicyclicError
@@ -171,14 +171,15 @@ def delete_vertices(g: Graph, x: Iterable[int]) -> tuple[Graph, tuple[int, ...]]
 
 def _induced(g: Graph, keep: bytearray) -> tuple[Graph, tuple[int, ...]]:
     """The subgraph induced on the flagged vertices, relabelled in
-    ascending order, from one pass over the edges.  Relabelling keeps
-    the order, so the edges come out sorted."""
+    ascending order, from one pass over the edges.  The new label of v is
+    the number of kept vertices below it.  Relabelling keeps the order,
+    so the edges come out valid, normalised and sorted, and `Graph.build`
+    has nothing to check."""
     labels = tuple(compress(range(g.n), keep))
-    index = [0] * g.n
-    for i, v in enumerate(labels):
-        index[v] = i
-    edges = [(index[a], index[b]) for a, b in g.edges if keep[a] and keep[b]]
-    return Graph.build(len(labels), edges), labels
+    index = list(accumulate(keep, initial=0))
+    edges = tuple((index[a], index[b]) for a, b in g.edges
+                  if keep[a] and keep[b])
+    return Graph(len(labels), edges), labels
 
 
 def connected_components(g: Graph) -> list[VertexSet]:

@@ -218,6 +218,21 @@ class TestSparseFirst:
                 assert induced_subgraph(g, keep) == expected
                 assert delete_vertices(g, gone + gone[:1]) == expected
 
+    def test_subgraphs_equal_graph_build_on_the_same_edges(self):
+        # The deletion skips Graph.build's checks; its graph must still be
+        # the one build makes, down to the hash and the neighbour lists.
+        rng = random.Random(19)
+        for g in self.GRAPHS:
+            for gone in (rng.sample(range(g.n), rng.randint(0, g.n)),
+                         [v for v in range(g.n) if not g.nbrs[v]],
+                         range(g.n)):
+                sub, labels = delete_vertices(g, gone)
+                built = Graph.build(len(labels), list(sub.edges))
+                assert sub == built and hash(sub) == hash(built)
+                assert sub.nbrs == built.nbrs
+        assert delete_vertices(self.GRAPHS[-1], range(self.GRAPHS[-1].n)) \
+            == (Graph.build(0, []), ())
+
     def test_components_equal_the_mask_route(self):
         for g in self.GRAPHS:
             assert connected_components(g) == components_by_masks(g)

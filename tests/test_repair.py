@@ -9,7 +9,9 @@ graph, and must agree with the oracles as well.  `diadem` reads the same
 alternating structure, and each clause of its membership test is pinned
 on a small graph.  The structures built on these (ker, diadem, the
 Gallai-Edmonds partition) must agree with the deletion route that builds
-every G - S as a fresh graph.
+every G - S as a fresh graph.  `ker_without(g, v)` repairs the cached
+cover matching into one of the cover of G - v, and must agree with the
+cover of G - v built afresh.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critindep import (Graph, cover_ker, critical_difference,
-                       critical_difference_oracle,
+from critindep import (Graph, PreconditionError, cover_ker,
+                       critical_difference, critical_difference_oracle,
                        diadem, diadem_oracle, is_factor_critical, ker,
-                       max_matching_bruteforce, max_matching_general, mu)
-from critindep.critical import _double_cover
+                       ker_without, max_matching_bruteforce,
+                       max_matching_general, mu)
+from critindep import critical
+from critindep.critical import _double_cover, _repair
 from critindep.gallai_edmonds import gallai_edmonds
 from critindep.graphs import (bits, connected_components, delete_vertices,
                               induced_subgraph, neighborhood)
@@ -228,6 +232,132 @@ def test_cover_ker_equals_ker_on_sparse_random_graphs():
         assert cover_ker(g) == ker(g)
 
 
+def _ker_by_fresh_cover(g: Graph, v: int) -> frozenset[int]:
+    h, labels = delete_vertices(g, [v])
+    return frozenset(labels[u] for u in cover_ker(h))
+
+
+def test_ker_without_equals_the_fresh_cover_on_labeled_graphs_up_to_six():
+    pairs = 0
+    for n in range(7):
+        for g in all_labeled_graphs(n):
+            for v in cover_ker(g):
+                assert ker_without(g, v) == _ker_by_fresh_cover(g, v)
+                pairs += 1
+    assert pairs == 23_517
+
+
+def test_ker_without_equals_the_fresh_cover_on_sparse_random_graphs():
+    rng = random.Random(1919)
+    for _ in range(300):
+        n = rng.randint(7, 200)
+        edges = {tuple(sorted(rng.sample(range(n), 2)))
+                 for _ in range(round(rng.uniform(0.25, 3.0) * n))}
+        g = Graph.build(n, sorted(edges))
+        for v in cover_ker(g):
+            assert ker_without(g, v) == _ker_by_fresh_cover(g, v)
+
+
+def _assert_maximum_matching_of_the_cover_without(g: Graph, v: int) -> None:
+    """The repaired match array pairs copies of g - v along cover edges,
+    exposes v, ties v + n to v, and is as large as the fresh cover's."""
+    cover = _double_cover(g)
+    match, _ = _repair(cover, v)
+    n = g.n
+    assert match[v] == -1 and match[v + n] == v
+    pairs = 0
+    for x in range(n):
+        r = match[x]
+        if x != v and r != -1:
+            assert r != v + n and r in cover.nbrs[x] and match[r] == x
+            pairs += 1
+    assert all(match[r] in (-1, v) or match[match[r]] == r
+               for r in range(n, 2 * n))
+    h, _ = delete_vertices(g, [v])
+    assert pairs == h.n - critical_difference(h)
+
+
+def test_repair_leaves_a_maximum_matching_of_the_cover_without_v():
+    for g in (*(g for n in range(6) for g in all_labeled_graphs(n)),
+              *random_graphs(300, seed=1919, max_n=40)):
+        for v in cover_ker(g):
+            _assert_maximum_matching_of_the_cover_without(g, v)
+
+
+def test_the_flip_path_never_runs_through_the_right_copy_of_v():
+    # v is slack, so the mirror of a maximum matching that misses v
+    # misses v + n; v + n is then matched to no slack copy, while the
+    # flip path holds slack copies and their mates only.
+    for n in range(7):
+        for g in all_labeled_graphs(n):
+            cover = _double_cover(g)
+            slack = cover.slack().flags
+            for v in cover_ker(g):
+                b = cover.match[v + n]
+                assert b == -1 or not slack[b]
+
+
+def _repair_case(g: Graph, v: int, monkeypatch) -> list[tuple[int, int]]:
+    """ker_without(g, v) against the fresh cover, with (left copies the
+    augmenting search entered, left copies whose pair it changed), one
+    entry per search run."""
+    searches = []
+    augment = critical._augment
+
+    def watched(nbrs, match, b, seen):
+        before = list(match)
+        augment(nbrs, match, b, seen)
+        changed = sum(before[x] != match[x] for x in range(len(nbrs)))
+        searches.append((sum(seen) - 1, changed))  # v is flagged up front
+
+    monkeypatch.setattr(critical, "_augment", watched)
+    assert ker_without(g, v) == _ker_by_fresh_cover(g, v)
+    monkeypatch.undo()
+    _assert_maximum_matching_of_the_cover_without(g, v)
+    return searches
+
+
+def test_ker_without_an_isolated_vertex(monkeypatch):
+    # Both copies of v = 2 are exposed: no flip and no b.
+    g = Graph.build(3, [(0, 1)])
+    assert _double_cover(g).match[2] == _double_cover(g).match[5] == -1
+    assert _repair_case(g, 2, monkeypatch) == []
+    assert ker_without(g, 2) == frozenset()
+
+
+def test_ker_without_an_exposed_vertex_with_neighbours(monkeypatch):
+    # In the path 1 - 0 - 2, the cover leaves v = 2 exposed: no flip.
+    g = Graph.build(3, [(0, 1), (0, 2)])
+    cover = _double_cover(g)
+    assert cover.match[2] == -1 and g.nbrs[2]
+    _repair_case(g, 2, monkeypatch)
+
+
+def test_ker_without_when_the_right_copy_of_v_is_exposed(monkeypatch):
+    # v = 3 is matched, and its path is flipped, but v + n is exposed, so
+    # nothing is freed and no search runs.
+    g = Graph.build(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+    cover = _double_cover(g)
+    assert cover.match[3] != -1 and cover.match[3 + 5] == -1
+    assert _repair_case(g, 3, monkeypatch) == []
+
+
+def test_ker_without_when_the_search_from_b_meets_a_dead_end(monkeypatch):
+    # The search from b = mate(v + n) enters a left copy that lies on no
+    # augmenting path before it finds one.
+    g = Graph.build(5, [(0, 1), (0, 3), (0, 4), (1, 2)])
+    [(entered, changed)] = _repair_case(g, 3, monkeypatch)
+    assert entered > changed
+
+
+def test_ker_without_rejects_a_vertex_outside_ker():
+    g = star(3)
+    assert cover_ker(g) == {1, 2, 3}
+    for v in (0, -1, 4):
+        with pytest.raises(PreconditionError):
+            ker_without(g, v)
+
+
 def _theorem_2_5ii_by_ker(g: Graph, kernel: frozenset[int]) -> bool:
     for v in kernel:
         h, labels = delete_vertices(g, [v])
@@ -262,6 +392,19 @@ def test_theorem_2_5ii_fails_on_a_tampered_ker():
     ctx = GraphContext(star(3))
     ctx.ker = frozenset({1, 2})
     assert run_check(ctx, "theorem_2_5ii") == "fail"
+
+
+def test_theorem_2_5ii_reads_a_non_slack_vertex_off_the_fresh_cover():
+    # The centre 0 of K1,3 is outside ker = {1, 2, 3}, so a claimed ker
+    # holding it sends the check to the fresh cover of G - 0, whose ker
+    # {1, 2, 3} decides the verdict either way.
+    g = star(3)
+    for claimed, verdict in (({0, 1, 2, 3}, "pass"), ({0}, "fail"),
+                             ({0, 1, 2}, "fail")):
+        ctx = GraphContext(g)
+        ctx.ker = frozenset(claimed)
+        assert _theorem_2_5ii_by_ker(g, ctx.ker) == (verdict == "pass")
+        assert run_check(ctx, "theorem_2_5ii") == verdict
 
 
 def test_factor_critical_matches_the_deletion_route():
