@@ -68,8 +68,8 @@ from itertools import combinations, compress
 from typing import NamedTuple
 
 from .errors import LimitExceededError, PreconditionError
-from .graphs import (Graph, VertexSet, bits, delete_vertices, neighborhood,
-                     set_of)
+from .graphs import (Graph, VertexSet, delete_vertices, difference,
+                     neighborhood, set_of)
 from .independence import is_independent
 from .matching import _match_sides
 
@@ -142,7 +142,7 @@ class _Cover:
 def _double_cover(g: Graph) -> _Cover:
     """The double cover of g, shared by every `critical_difference`,
     `cover_ker` and `diadem` call on g."""
-    adj, match, _ = _match_sides(g, g.full_mask, g.full_mask)
+    adj, match, _ = _match_sides(g, range(g.n), range(g.n))
     return _Cover(adj, tuple(match), match[:g.n].count(-1))
 
 
@@ -270,12 +270,12 @@ def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
     g - removed, an oracle route that no polynomial route here uses.
     """
     cover = _double_cover(g)
-    gone = g.mask_of(removed)
+    gone = g.members(removed)
     if not gone:
         return cover.dc
-    if gone & gone - 1:
-        return critical_difference(delete_vertices(g, bits(gone))[0])
-    v = gone.bit_length() - 1
+    if len(gone) > 1:
+        return critical_difference(delete_vertices(g, gone)[0])
+    (v,) = gone
     slack, comp, reach = cover.structure()
     if slack[v]:
         return cover.dc - 1
@@ -620,8 +620,8 @@ def is_supermodular(dtab: Sequence[int]) -> bool:
 
 def max_subset_difference(g: Graph, s: Iterable[int]) -> int:
     """max d(X) over X contained in s (polynomial, via matching deficiency)."""
-    smask = g.mask_of(s)
-    adj, match, _ = _match_sides(g, smask, g.neighborhood_mask(smask))
+    xs = g.members(s)
+    adj, match, _ = _match_sides(g, sorted(xs), sorted(neighborhood(g, xs)))
     return match[:len(adj)].count(-1)
 
 
@@ -632,16 +632,17 @@ def min_cardinality_positive_subset(g: Graph,
     A minimum-cardinality positive subset is automatically inclusion
     minimal.  Ties break lexicographically.
     """
-    members = sorted(set_of(g.mask_of(s)))
+    members = sorted(g.members(s))
     if len(members) > SUBSET_SEARCH_LIMIT:
         raise LimitExceededError(
             f"|s|={len(members)} exceeds subset search limit "
             f"{SUBSET_SEARCH_LIMIT}")
     if max_subset_difference(g, members) <= 0:
         return None
+    nbrs = g.nbrs
     for k in range(1, len(members) + 1):
         for combo in combinations(members, k):
-            if g.difference_mask(g.mask_of(combo)) > 0:
+            if len({w for v in combo for w in nbrs[v]}) < k:
                 return frozenset(combo)
     return None  # unreachable: existence certified above
 
@@ -664,7 +665,7 @@ class HXGadget:
 
 
 def build_hx(g: Graph, x: Iterable[int]) -> HXGadget:
-    xset = set_of(g.mask_of(x))
+    xset = g.members(x)
     if not is_independent(g, xset):
         raise PreconditionError("x must be independent")
     nset = neighborhood(g, xset)
@@ -683,14 +684,14 @@ def build_hx(g: Graph, x: Iterable[int]) -> HXGadget:
                     v_label=v_label, w_label=w_label, embedding=embedding)
 
 
-def _check_strict_subset_differences(g: Graph, xmask: int) -> None:
-    """Require d(Y) < d(X) for every proper subset Y of X.
+def _check_strict_subset_differences(g: Graph, xs: VertexSet) -> None:
+    """Require d(Y) < d(X) for every proper subset Y of X = xs.
 
     Every proper subset lies in X - v for some v in X, so |X| calls of
     `max_subset_difference` decide it."""
-    dx = g.difference_mask(xmask)
-    for v in bits(xmask):
-        best = max_subset_difference(g, bits(xmask & ~(1 << v)))
+    dx = difference(g, xs)
+    for v in sorted(xs):
+        best = max_subset_difference(g, xs - {v})
         if best >= dx:
             raise PreconditionError(
                 f"a subset of x without {v} has difference {best} "
@@ -699,13 +700,13 @@ def _check_strict_subset_differences(g: Graph, xmask: int) -> None:
 
 def verify_hx_ker(g: Graph, x: Iterable[int]) -> bool:
     """Build the gadget for x and check that its ker is exactly x."""
-    xmask = g.mask_of(x)
-    if not is_independent(g, bits(xmask)):
+    xs = g.members(x)
+    if not is_independent(g, xs):
         raise PreconditionError("x must be independent")
-    if g.difference_mask(xmask) <= 0:
+    if difference(g, xs) <= 0:
         raise PreconditionError("x must have positive difference")
-    _check_strict_subset_differences(g, xmask)
-    hx = build_hx(g, bits(xmask))
+    _check_strict_subset_differences(g, xs)
+    hx = build_hx(g, xs)
     expected = frozenset(hx.embedding[u] for u in hx.x)
     return ker(hx.gadget) == expected
 
@@ -731,22 +732,22 @@ def decompose_minimal(g: Graph, x: Iterable[int]) -> MinimalDecomposition:
     representatives picked so far; the representative is its smallest
     vertex.
     """
-    xmask = g.mask_of(x)
-    k = g.difference_mask(xmask)
-    if not is_independent(g, bits(xmask)):
+    xs = g.members(x)
+    k = difference(g, xs)
+    if not is_independent(g, xs):
         raise PreconditionError("x must be independent")
     if k <= 0:
         raise PreconditionError(f"d(x) = {k}, need positive")
-    _check_strict_subset_differences(g, xmask)
+    _check_strict_subset_differences(g, xs)
     parts: list[VertexSet] = []
     reps: list[int] = []
-    remaining = xmask
+    remaining = set(xs)
     for _ in range(k):
-        part = min_cardinality_positive_subset(g, bits(remaining))
+        part = min_cardinality_positive_subset(g, remaining)
         assert part is not None
         rep = min(part)
         parts.append(part)
         reps.append(rep)
-        remaining &= ~(1 << rep)
-    return MinimalDecomposition(x=set_of(xmask), k=k, parts=tuple(parts),
+        remaining.discard(rep)
+    return MinimalDecomposition(x=xs, k=k, parts=tuple(parts),
                                 representatives=tuple(reps))

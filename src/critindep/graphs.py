@@ -5,14 +5,14 @@ frozensets.  A graph is its vertex count and sorted edge tuple; it carries
 two adjacency representations, each built in one pass over the edges the
 first time a routine reads it:
 
-* `nbrs`, sorted neighbour tuples, for the polynomial routes: the double
-  cover, the general matching, deletions, components and the unique
-  cycle.  They cost O(n + m).
+* `nbrs`, sorted neighbour tuples, read by every polynomial route: the
+  double cover, the matchings, deletions, components, the unique cycle
+  and the set operations `neighborhood`, `difference` and `has_edge`.
+  They cost O(n + m).
 * `adj`, one integer bitmask per vertex (bit w set means w is a
-  neighbour), for the exhaustive 2^n subset oracles and the small-set
-  routines, where union and intersection take one machine operation per
-  word.  They cost O(n^2) bits, so a large sparse graph never builds
-  them on those routes.
+  neighbour), read only by the exhaustive 2^n oracles, where union and
+  intersection take one machine operation per word.  They cost O(n^2)
+  bits, so no polynomial route builds them.
 """
 
 from __future__ import annotations
@@ -111,32 +111,32 @@ class Graph:
         return len(self.nbrs[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        return v in self.nbrs[u]
 
     def neighbors(self, v: int) -> VertexSet:
         return frozenset(self.nbrs[v])
 
-    def mask_of(self, xs: Iterable[int]) -> int:
-        """Validate a vertex collection and pack it into a bitmask."""
-        m = 0
-        for v in xs:
+    def members(self, xs: Iterable[int]) -> VertexSet:
+        """Validate a vertex collection and return it as a set."""
+        out = frozenset(xs)
+        for v in out:
             if not (0 <= v < self.n):
-                raise self._out_of_range(v)
-            m |= 1 << v
-        return m
+                raise InvalidVertexError(
+                    f"vertex {v} out of range 0..{self.n - 1}")
+        return out
+
+    def mask_of(self, xs: Iterable[int]) -> int:
+        """Validate a vertex collection and pack it into a bitmask, for
+        the subset oracles."""
+        return sum(1 << v for v in self.members(xs))
 
     def flags_of(self, xs: Iterable[int], inside: int = 1) -> bytearray:
         """Validate a vertex collection and flag it, one byte per vertex:
         `inside` at its members and 1 - inside elsewhere."""
         flags = bytearray([1 - inside]) * self.n
-        for v in xs:
-            if not (0 <= v < self.n):
-                raise self._out_of_range(v)
+        for v in self.members(xs):
             flags[v] = inside
         return flags
-
-    def _out_of_range(self, v: int) -> InvalidVertexError:
-        return InvalidVertexError(f"vertex {v} out of range 0..{self.n - 1}")
 
     def neighborhood_mask(self, xmask: int) -> int:
         adj = self.adj
@@ -151,12 +151,14 @@ class Graph:
 
 def neighborhood(g: Graph, x: Iterable[int]) -> VertexSet:
     """N(x): all vertices adjacent to some member of x.  May intersect x."""
-    return set_of(g.neighborhood_mask(g.mask_of(x)))
+    nbrs = g.nbrs
+    return frozenset(w for v in g.members(x) for w in nbrs[v])
 
 
 def difference(g: Graph, x: Iterable[int]) -> int:
     """d(x) = |x| - |N(x)|."""
-    return g.difference_mask(g.mask_of(x))
+    xs = g.members(x)
+    return len(xs) - len(neighborhood(g, xs))
 
 
 def induced_subgraph(g: Graph, u: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

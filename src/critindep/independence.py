@@ -17,8 +17,8 @@ ENUMERATION_LIMIT = 20
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    mask = g.mask_of(s)
-    return g.neighborhood_mask(mask) & mask == 0
+    xs = g.members(s)
+    return all(xs.isdisjoint(g.nbrs[v]) for v in xs)
 
 
 def alpha(g: Graph, limit: int = ALPHA_LIMIT) -> int:

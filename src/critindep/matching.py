@@ -5,10 +5,9 @@ Every bipartite matching built from scratch comes from `_match_sides`:
 it gives each vertex of one side a left copy and each vertex of the
 other a right copy, joins them along the graph's edges and runs
 Hopcroft-Karp.  The double cover, the S-versus-N(S) matchings and the
-matchings between two vertex sets are all such matchings.  The double
-cover and the general matching read the graph's neighbour lists, so a
-large sparse graph never builds its n-bit masks here; the matchings of
-small vertex sets read the masks.
+matchings between two vertex sets are all such matchings.  Every
+matching here reads the graph's neighbour lists; only the brute-force
+oracle reads its n-bit masks.
 
 The general matching of a graph is computed once and cached by
 `_base_matching`, from passes of one blossom-contraction routine,
@@ -64,41 +63,38 @@ class Matching:
 def max_matching_bipartite(g: Graph, left: Iterable[int],
                            right: Iterable[int]) -> Matching:
     """Maximum matching of a bipartite graph via Hopcroft-Karp."""
-    lmask = g.mask_of(left)
-    rmask = g.mask_of(right)
-    if lmask & rmask or (lmask | rmask) != g.full_mask:
+    lset = g.members(left)
+    rset = g.members(right)
+    if not lset.isdisjoint(rset) or len(lset) + len(rset) != g.n:
         raise PartitionError("left/right do not partition the vertex set")
     for u, v in g.edges:
-        if bool(lmask >> u & 1) == bool(lmask >> v & 1):
+        if (u in lset) == (v in lset):
             raise PartitionError(f"edge ({u},{v}) does not cross the partition")
-    return _matching_of_sides(*_match_sides(g, lmask, rmask))
+    return _matching_of_sides(*_match_sides(g, sorted(lset), sorted(rset)))
 
 
-def _match_sides(g: Graph, lmask: int, rmask: int
+def _match_sides(g: Graph, left: Sequence[int], right: Sequence[int]
                  ) -> tuple[list[list[int]], list[int], list[int]]:
-    """Maximum matching between a left copy of each vertex of lmask and a
-    right copy of each vertex of rmask, joined along g's edges.
+    """Maximum matching between a left copy of each vertex of `left` and
+    a right copy of each vertex of `right`, two ascending vertex lists,
+    joined along g's edges.
 
     Returns the left copies' adjacency lists, the Hopcroft-Karp match
     array over all copies and the vertex of g behind each copy.  The left
-    copies come first, in ascending vertex order, then the right copies:
-    with both masks full, vertex u has copies u and u + n, the layout of
-    the double cover, whose lists are read off g's neighbour lists.  The
-    masks may overlap.  Only the left copies have adjacency lists,
-    because Hopcroft-Karp scans the edges of left vertices alone.
+    copies come first, in list order, then the right copies: with both
+    lists the whole range, vertex u has copies u and u + n, the layout of
+    the double cover.  The lists may overlap.  Only the left copies have
+    adjacency lists, read off g's neighbour lists, because Hopcroft-Karp
+    scans the edges of left vertices alone.
     """
-    n = g.n
-    if lmask == rmask == g.full_mask:
-        lvs = rvs = list(range(n))
-        adj = [[n + w for w in nb] for nb in g.nbrs]
-    else:
-        lvs = list(bits(lmask))
-        rvs = list(bits(rmask))
-        index = {v: len(lvs) + i for i, v in enumerate(rvs)}
-        masks = g.adj
-        adj = [[index[w] for w in bits(masks[u] & rmask)] for u in lvs]
-    match = _hopcroft_karp(len(lvs) + len(rvs), adj, list(range(len(lvs))))
-    return adj, match, lvs + rvs
+    index = [-1] * g.n
+    for i, v in enumerate(right, len(left)):
+        index[v] = i
+    nbrs = g.nbrs
+    adj = [[i for w in nbrs[u] if (i := index[w]) != -1] for u in left]
+    match = _hopcroft_karp(len(left) + len(right), adj,
+                           list(range(len(left))))
+    return adj, match, [*left, *right]
 
 
 def _matching_of_sides(adj: list[list[int]], match: list[int],
@@ -252,12 +248,12 @@ def _forest(adj: Sequence[Sequence[int]],
 
 
 class _MaxMatching(NamedTuple):
-    """One maximum matching of a graph, its size and the bitmask of the
+    """One maximum matching of a graph, its size and the flags of the
     Gallai-Edmonds set D (see `_base_matching`)."""
 
     match: tuple[int, ...]
     size: int
-    d_mask: int
+    even: bytes     # 1 at each vertex of D
 
 
 @lru_cache(maxsize=4)
@@ -272,7 +268,7 @@ def _base_matching(g: Graph) -> _MaxMatching:
     while flipped:
         flipped, even = _forest(g.nbrs, match)
     return _MaxMatching(tuple(match), (g.n - match.count(-1)) // 2,
-                        sum(1 << v for v in range(g.n) if even[v]))
+                        bytes(even))
 
 
 def max_matching_general(g: Graph) -> Matching:
@@ -304,12 +300,13 @@ def mu(g: Graph, removed: Iterable[int] = ()) -> int:
     g - removed, an oracle route that no polynomial route here uses.
     """
     base = _base_matching(g)
-    gone = g.mask_of(removed)
+    gone = g.members(removed)
     if not gone:
         return base.size
-    if gone & gone - 1:
-        return mu(delete_vertices(g, bits(gone))[0])
-    return base.size - 1 + (base.d_mask >> gone.bit_length() - 1 & 1)
+    if len(gone) > 1:
+        return mu(delete_vertices(g, gone)[0])
+    (v,) = gone
+    return base.size - 1 + base.even[v]
 
 
 def max_matching_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> int:
@@ -341,14 +338,14 @@ def matching_from_into(g: Graph, a: Iterable[int],
 
     The empty matching (a = empty set) is returned as a Matching, not None.
     """
-    amask = g.mask_of(a)
-    bmask = g.mask_of(b)
-    if amask & bmask:
+    aset = g.members(a)
+    bset = g.members(b)
+    if not aset.isdisjoint(bset):
         raise PreconditionError("a and b must be disjoint")
     # Hall's condition fails on a itself: no matching to build.
-    if amask.bit_count() > bmask.bit_count():
+    if len(aset) > len(bset):
         return None
-    adj, match, labels = _match_sides(g, amask, bmask)
+    adj, match, labels = _match_sides(g, sorted(aset), sorted(bset))
     if -1 in match[:len(adj)]:
         return None
     return _matching_of_sides(adj, match, labels)
@@ -364,4 +361,4 @@ def is_factor_critical(g: Graph) -> bool:
     so that mu(G - v) = mu = floor(n/2) for each v (see `mu`).  A perfect
     matching leaves D empty, so a graph of even order n > 0 fails."""
     base = _base_matching(g)
-    return base.size == g.n // 2 and base.d_mask == g.full_mask
+    return base.size == g.n // 2 and 0 not in base.even

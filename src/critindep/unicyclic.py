@@ -24,6 +24,10 @@ from .matching import mu
 
 Step = tuple[str, int]  # ("p2", target) or ("leaf", target)
 
+# The most vertices a build script may create; graph6 output holds n^2/2
+# bits, 50 MB at this size.
+MAX_GENERATED_VERTICES = 10_000
+
 
 @dataclass(frozen=True)
 class BuildScript:
@@ -61,10 +65,20 @@ def _check_cycle_length(k: int, line: int | None = None) -> None:
         raise ScriptError(f"cycle length must be odd and >= 3, got {k}", line)
 
 
+def _check_vertex_count(k: int, n_path2: int, n_leaf: int) -> None:
+    n = k + 2 * n_path2 + n_leaf
+    if n > MAX_GENERATED_VERTICES:
+        raise PreconditionError(
+            f"the script builds {n} vertices, above the limit "
+            f"{MAX_GENERATED_VERTICES}")
+
+
 def generate(script: BuildScript) -> ColoredUnicyclic:
     """Execute a build script; vertex ids follow creation order."""
     k = script.cycle_length
     _check_cycle_length(k)
+    n_path2 = sum(kind == "p2" for kind, _ in script.steps)
+    _check_vertex_count(k, n_path2, len(script.steps) - n_path2)
     edges = [(i, (i + 1) % k) for i in range(k)]
     red: set[int] = set()
     black: set[int] = set()
@@ -115,6 +129,7 @@ def generate_random(cycle_length: int, n_path2: int, n_leaf: int,
         raise PreconditionError(
             "a leaf step needs a red vertex, so at least one path step "
             "is required")
+    _check_vertex_count(cycle_length, n_path2, n_leaf)
     rng = random.Random(seed)
     steps: list[Step] = []
     n = cycle_length

@@ -20,8 +20,8 @@ from . import independence as ind
 from . import matching as mt
 from . import unicyclic as uc
 from .graphs import (Graph, connected_components,
-                     cycle_space_dimension, delete_vertices, induced_subgraph,
-                     neighborhood, set_of, to_graph6)
+                     cycle_space_dimension, delete_vertices, difference,
+                     induced_subgraph, neighborhood, set_of, to_graph6)
 
 
 # Fixed sizes of single oracle checks; the settable ones are in Limits.
@@ -198,15 +198,9 @@ def check_theorem_2_1(ctx: GraphContext):
     return True
 
 
-def _neighbours(g: Graph, xs) -> set[int]:
-    """N(xs) from the neighbour lists, so that no n-bit mask is built."""
-    nbrs = g.nbrs
-    return {w for v in xs for w in nbrs[v]}
-
-
 def check_theorem_2_2(ctx: GraphContext):
     """ker is independent and critical; ker lies inside core."""
-    nker = _neighbours(ctx.g, ctx.ker)
+    nker = neighborhood(ctx.g, ctx.ker)
     if not nker.isdisjoint(ctx.ker):
         return False
     if len(ctx.ker) - len(nker) != ctx.dc:
@@ -266,9 +260,7 @@ def check_theorem_2_6(ctx: GraphContext):
 def check_corollary_2_11(ctx: GraphContext):
     if ctx.minimal_positive_sets is None:
         return None
-    g = ctx.g
-    return all(g.difference_mask(g.mask_of(s)) == 1
-               for s in ctx.minimal_positive_sets)
+    return all(difference(ctx.g, s) == 1 for s in ctx.minimal_positive_sets)
 
 
 def check_conjecture_1_1(ctx: GraphContext):
@@ -299,7 +291,7 @@ def check_theorem_2_12(ctx: GraphContext):
     g = ctx.g
     union: set[int] = set()
     for i, part in enumerate(dec.parts):
-        if g.difference_mask(g.mask_of(part)) != 1:
+        if difference(g, part) != 1:
             return False
         if ctx.minimal_positive_sets is not None \
                 and part not in ctx.minimal_positive_sets:
@@ -400,7 +392,7 @@ def check_ker_diadem_inequality(ctx: GraphContext):
 
 
 def check_diadem_avoids_ker_neighborhood(ctx: GraphContext):
-    return _neighbours(ctx.g, ctx.ker).isdisjoint(ctx.diadem)
+    return neighborhood(ctx.g, ctx.ker).isdisjoint(ctx.diadem)
 
 
 # ----- unicyclic checks (need a coloring context) ---------------------------
@@ -491,7 +483,7 @@ def check_black_is_critical(ctx: GraphContext):
         return False
     if mt.matching_from_into(g, neighborhood(g, black), black) is None:
         return False
-    return g.difference_mask(g.mask_of(black)) == ctx.dc
+    return difference(g, black) == ctx.dc
 
 
 def check_core_in_black(ctx: GraphContext):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,35 @@ class TestGenerate:
         prefix = str(tmp_path / "absent" / "x")
         assert main(["generate", "--random", "5,1,1", "--out", prefix]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("counts", ["40001,0,0", "3,20000,0",
+                                        "3,4999,1"])
+    def test_random_script_over_the_vertex_cap_exits_2(self, capsys, counts):
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--random", counts])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("text", ["cycle 40001\n",
+                                      "cycle 3\n" + "p2 0\n" * 5000])
+    def test_script_over_the_vertex_cap_exits_2(self, capsys, tmp_path,
+                                                 text):
+        script = tmp_path / "big.script"
+        script.write_text(text)
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--script", str(script)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "above the limit 10000" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("counts", ["3,-1,0", "3,1,-2"])
     def test_negative_random_counts_exit_2(self, capsys, counts):

@@ -195,7 +195,7 @@ class TestStrictSubsetPrecondition:
     def test_agrees_with_submask_walk(self, g, data):
         xmask = data.draw(st.integers(1, g.full_mask))
         try:
-            _check_strict_subset_differences(g, xmask)
+            _check_strict_subset_differences(g, set_of(xmask))
             holds = True
         except PreconditionError:
             holds = False
@@ -211,13 +211,13 @@ class TestStrictSubsetPrecondition:
         monkeypatch.setattr(critical, "max_subset_difference", counted)
         g = Graph.build(8, [(0, i) for i in (1, 2, 3)]
                         + [(4, i) for i in (5, 6, 7)])
-        _check_strict_subset_differences(g, g.mask_of([1, 2, 3, 5, 6, 7]))
+        _check_strict_subset_differences(g, frozenset([1, 2, 3, 5, 6, 7]))
         assert len(calls) == 6
 
     def test_names_the_left_out_vertex(self):
         g, x = figure1_graph()
         with pytest.raises(PreconditionError, match="without"):
-            _check_strict_subset_differences(g, g.mask_of(x))
+            _check_strict_subset_differences(g, frozenset(x))
 
 
 class TestHXGadget:

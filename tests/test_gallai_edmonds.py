@@ -361,3 +361,16 @@ class TestSparseRoutes:
             == {"theorem_2_2": "pass",
                 "diadem_avoids_ker_neighborhood": "pass"}
         assert "nbrs" in vars(g) and "adj" not in vars(g)
+        # |ker| = 1 is within the enumeration limit, so the report runs
+        # theorem_2_7 and theorem_2_12 on ker; they read neighbour lists.
+        n, rng = 5000, random.Random(0)
+        edges = set()
+        while len(edges) < 25_000:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = Graph.build(n, edges)
+        report = reports.analyze(g)
+        assert report["critical"]["d_c"] == len(report["critical"]["ker"]) == 1
+        assert report["checks"]["theorem_2_7"] == "pass"
+        assert report["checks"]["theorem_2_12"] == "pass"
+        assert "adj" not in vars(g)

@@ -13,6 +13,7 @@ from critindep import (FormatError, Graph, InvalidVertexError,
                        delete_vertices, find_unique_cycle, generate_random,
                        induced_subgraph, neighborhood, parse_edge_list,
                        parse_graph6, to_edge_list, to_graph6)
+from critindep.critical import difference_table
 from critindep.graphs import MAX_VERTICES, bits, cycle_space_dimension
 
 from common import (complete, components_by_masks, cycle, empty,
@@ -205,6 +206,8 @@ class TestSparseFirst:
         assert connected_components(g) == [frozenset(range(4))]
         assert "nbrs" in vars(g) and "adj" not in vars(g)
         assert neighborhood(g, [1]) == {0, 2}
+        assert "adj" not in vars(g)
+        difference_table(g)
         assert "adj" in vars(g)
 
     def test_subgraphs_equal_the_dict_route(self):

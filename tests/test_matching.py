@@ -15,7 +15,7 @@ from critindep import (Graph, LimitExceededError, PartitionError,
                        is_factor_critical, matching_from_into,
                        max_matching_bipartite, max_matching_bruteforce,
                        max_matching_general, mu, neighborhood)
-from critindep.graphs import delete_vertices
+from critindep.graphs import bits, delete_vertices
 
 from common import complete, cycle, empty, path, petersen, star
 from conftest import bipartite_graphs, graphs
@@ -175,6 +175,34 @@ class TestMatchingFromInto:
             len(neighborhood(g, s) & b) >= len(s)
             for k in range(len(a) + 1) for s in combinations(sorted(a), k))
         assert found == hall
+
+
+def _match_sides_by_masks(g, lmask, rmask):
+    """The mask branch `matching._match_sides` once had for sides other
+    than the whole range: each left list read off g's bitmasks."""
+    lvs = list(bits(lmask))
+    rvs = list(bits(rmask))
+    index = {v: len(lvs) + i for i, v in enumerate(rvs)}
+    adj = [[index[w] for w in bits(g.adj[u] & rmask)] for u in lvs]
+    match = mt._hopcroft_karp(len(lvs) + len(rvs), adj,
+                              list(range(len(lvs))))
+    return adj, match, lvs + rvs
+
+
+class TestMatchSides:
+    @settings(max_examples=300)
+    @given(g=graphs(max_n=12), data=st.data())
+    def test_lists_and_match_equal_the_mask_branch(self, g, data):
+        lmask = data.draw(st.integers(0, g.full_mask))
+        rmask = data.draw(st.integers(0, g.full_mask))
+        got = mt._match_sides(g, list(bits(lmask)), list(bits(rmask)))
+        assert got == _match_sides_by_masks(g, lmask, rmask)
+
+    def test_whole_range_is_the_double_cover_layout(self):
+        g = petersen()
+        adj, _, labels = mt._match_sides(g, range(g.n), range(g.n))
+        assert adj == [[g.n + w for w in nb] for nb in g.nbrs]
+        assert labels == [*range(g.n), *range(g.n)]
 
 
 class TestPredicates:

@@ -87,6 +87,15 @@ class TestGenerateRandom:
         with pytest.raises(PreconditionError):
             generate_random(3, n_p2, n_leaf, seed=0)
 
+    def test_vertex_cap_is_inclusive(self):
+        cap = unicyclic.MAX_GENERATED_VERTICES
+        _, cu = generate_random(cap - 5, 2, 1, seed=0)
+        assert cu.graph.n == cap
+        with pytest.raises(PreconditionError, match="above the limit"):
+            generate_random(cap - 5, 2, 2, seed=0)
+        with pytest.raises(PreconditionError, match="above the limit"):
+            generate(BuildScript(cycle_length=cap - 1, steps=(("p2", 0),)))
+
 
 class TestRecognize:
     def test_bare_c7_all_blue(self):
