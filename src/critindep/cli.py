@@ -70,10 +70,10 @@ def _load_graph(path: str, fmt: str) -> tuple[Graph, bytes, str]:
     data = Path(path).read_bytes()
     text = data.decode()
     if fmt == "auto":
-        stripped = [ln for ln in text.splitlines()
-                    if ln.strip() and not ln.strip().startswith("#")]
-        fmt = "edgelist" if stripped and " " in stripped[0].strip() \
-            else "graph6"
+        # Only the first line that is neither blank nor a comment decides.
+        first = next((s for ln in text.splitlines()
+                      if (s := ln.strip()) and not s.startswith("#")), "")
+        fmt = "edgelist" if " " in first else "graph6"
     if fmt == "edgelist":
         return parse_edge_list(text), data, "edgelist"
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
@@ -222,7 +222,7 @@ def cmd_hx(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     embedded = sorted(gadget.embedding[u] for u in gadget.x)
-    gadget_ker = sorted(cr.ker(gadget.gadget))
+    gadget_ker = sorted(cr.cover_ker(gadget.gadget))
     payload = {
         "gadget_graph6": to_graph6(gadget.gadget),
         "v": gadget.v_label,
@@ -236,46 +236,40 @@ def cmd_hx(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="critindep",
-        description="Critical independence structure toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_args(p, with_graph=True):
+    if with_graph:
+        p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
+                       default="auto")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--no-timestamp", action="store_true")
+    p.add_argument("--enum-limit", type=int, default=None)
+    p.add_argument("--omega-limit", type=int, default=None)
+    p.add_argument("--alpha-limit", type=int, default=None)
 
-    def add_common(p, with_graph=True):
-        if with_graph:
-            p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
-                           default="auto")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--no-timestamp", action="store_true")
-        p.add_argument("--enum-limit", type=int, default=None)
-        p.add_argument("--omega-limit", type=int, default=None)
-        p.add_argument("--alpha-limit", type=int, default=None)
 
-    p = sub.add_parser("analyze", help="full report for one graph")
+def _analyze_args(p) -> None:
     p.add_argument("path")
     p.add_argument("--exact", action="store_true",
                    help="fail (exit 3) instead of skipping limited fields")
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
+    _common_args(p)
 
-    p = sub.add_parser("generate", help="build a colored unicyclic graph")
+
+def _generate_args(p) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--script", help="build script path")
     group.add_argument("--random", metavar="CYCLE,P2,LEAF",
                        help="random script parameters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file prefix")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("recognize",
-                       help="recover the canonical coloring or report KE")
+
+def _recognize_args(p) -> None:
     p.add_argument("path")
     p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
                    default="auto")
-    p.set_defaults(func=cmd_recognize)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
+
+def _verify_args(p) -> None:
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--min-n", type=int, default=1)
     p.add_argument("--max-n", type=int, default=6)
@@ -285,21 +279,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-failure", action="store_true",
                    help="force one failure (exercises the failure path)")
     p.add_argument("--seed", type=int, default=0)
-    add_common(p, with_graph=False)
-    p.set_defaults(func=cmd_verify)
+    _common_args(p, with_graph=False)
 
-    p = sub.add_parser("hx", help="build the two-vertex gadget for --set")
+
+def _hx_args(p) -> None:
     p.add_argument("path")
     p.add_argument("--set", required=True,
                    help="comma-separated independent vertex set")
     p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
                    default="auto")
-    p.set_defaults(func=cmd_hx)
+
+
+# Each command's handler, help line and argument adder, in help order.
+COMMANDS = {
+    "analyze": (cmd_analyze, "full report for one graph", _analyze_args),
+    "generate": (cmd_generate, "build a colored unicyclic graph",
+                 _generate_args),
+    "recognize": (cmd_recognize,
+                  "recover the canonical coloring or report KE",
+                  _recognize_args),
+    "verify": (cmd_verify, "run a verification sweep", _verify_args),
+    "hx": (cmd_hx, "build the two-vertex gadget for --set", _hx_args),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser with every command's subparser, or with
+    only the subparser of the command named by `only`.
+
+    `main` runs one command per call and builds only that command's
+    subparser, about a third of the cost of all five.  A partial build
+    spells every command out in the subcommand metavar, so an error raised
+    after the command prints the usage line of the full parser.  The full
+    build keeps the default metavar, under which an unknown command is an
+    invalid choice for "command".  No parser is cached: a one-shot process
+    builds it once either way, and a cache only helps in-process callers.
+    """
+    parser = argparse.ArgumentParser(
+        prog="critindep",
+        description="Critical independence structure toolkit")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    for name, (func, help_text, add_args) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     return args.func(args)
 
 

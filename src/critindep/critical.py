@@ -5,13 +5,14 @@ have strictly smaller difference.
 
 Polynomial routes, all read off one matching of the double cover:
   * critical difference via the bipartite double cover (d_c = n - mu(cover)),
-  * ker by two routes.  `ker` keeps the definition by per-vertex
-    deletion (v is in ker iff d_c drops by one), each d_c(G - v) a
-    lookup in the cover's alternating structure; `GraphContext.ker`, and
-    so the report, `hx` and every registry check that reads ker, take
-    this one, which `ker_is_intersection` holds against the critical
-    sets.  `cover_ker` reads the same set straight off the slack left
-    copies, with no lookups and no components.
+  * ker by two routes.  `cover_ker` reads it straight off the slack
+    left copies, with no lookups and no components; `GraphContext.ker`,
+    and so the report, `hx`, the gadget check and every registry check
+    that reads ker, take this one.  `ker` keeps the definition by
+    per-vertex deletion (v is in ker iff d_c drops by one), each
+    d_c(G - v) a lookup in the cover's alternating structure, as the
+    oracle that `ker_is_intersection` holds `cover_ker` against, next to
+    the intersection of the critical sets.
   * ker(G - v) for v in ker, by `ker_without`: the cover's matching is
     repaired into one of the cover of G - v by one path flip and at most
     one augmenting search, and one slack pass reads the set off it, with
@@ -399,8 +400,8 @@ def cover_ker(g: Graph) -> VertexSet:
     that a slack v gives d_c - 1 and any other v gives d_c or d_c + 1.  So
     this is `ker`, without its n single-deletion lookups and without the
     components and reach sets that the lookups of non-slack vertices read.
-    `ker` keeps the deletion definition: it is the route that
-    `ker_is_intersection` holds against the critical sets, and the
+    Every route that reads ker takes this one.  `ker` keeps the deletion
+    definition as the oracle that `ker_is_intersection` runs, and the
     benchmark's self-test pins its n + 1 `critical_difference` calls.
     """
     return frozenset(compress(range(g.n), _double_cover(g).slack().flags))
@@ -708,7 +709,7 @@ def verify_hx_ker(g: Graph, x: Iterable[int]) -> bool:
     _check_strict_subset_differences(g, xs)
     hx = build_hx(g, xs)
     expected = frozenset(hx.embedding[u] for u in hx.x)
-    return ker(hx.gadget) == expected
+    return cover_ker(hx.gadget) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ first time a routine reads it:
 * `nbrs`, sorted neighbour tuples, read by every polynomial route: the
   double cover, the matchings, deletions, components, the unique cycle
   and the set operations `neighborhood`, `difference` and `has_edge`.
-  They cost O(n + m).
+  They cost O(n + m).  The connected components are read off them once
+  too, into `components`, which every component and cycle query shares.
 * `adj`, one integer bitmask per vertex (bit w set means w is a
   neighbour), read only by the exhaustive 2^n oracles, where union and
   intersection take one machine operation per word.  They cost O(n^2)
@@ -89,6 +90,26 @@ class Graph:
             lists[u].append(v)
             lists[v].append(u)
         return tuple(map(tuple, lists))
+
+    @cached_property
+    def components(self) -> tuple[VertexSet, ...]:
+        """The maximal connected vertex sets, ordered by smallest member,
+        found by one search over `nbrs` and shared by every reader."""
+        nbrs = self.nbrs
+        seen = bytearray(self.n)
+        comps = []
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            comp = [start]
+            for v in comp:
+                for w in nbrs[v]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        comp.append(w)
+            comps.append(frozenset(comp))
+        return tuple(comps)
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
@@ -186,25 +207,11 @@ def _induced(g: Graph, keep: bytearray) -> tuple[Graph, tuple[int, ...]]:
 
 def connected_components(g: Graph) -> list[VertexSet]:
     """Maximal connected vertex sets, ordered by smallest member."""
-    nbrs = g.nbrs
-    seen = bytearray(g.n)
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        for v in comp:
-            for w in nbrs[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    return list(g.components)
 
 
 def cycle_space_dimension(g: Graph) -> int:
-    return g.edge_count - g.n + len(connected_components(g))
+    return g.edge_count - g.n + len(g.components)
 
 
 def find_unique_cycle(g: Graph) -> list[int] | None:
@@ -290,7 +297,9 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError("missing 'n m' header")
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph.build(n, edges)
+    # Every edge passed the checks above, which are Graph.build's.
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def to_edge_list(g: Graph) -> str:
@@ -342,7 +351,9 @@ def parse_graph6(line: str) -> Graph:
         v = (isqrt(8 * i + 1) + 1) // 2
         edges.append((i - v * (v - 1) // 2, v))
         i = stream.find("1", i + 1)
-    return Graph.build(n, edges)
+    # Distinct in-range pairs with u < v, by construction.
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def _g6_chars(stream: str | bytearray) -> str:

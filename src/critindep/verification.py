@@ -69,7 +69,7 @@ class GraphContext:
 
     @cached_property
     def ker(self):
-        return cr.ker(self.g)
+        return cr.cover_ker(self.g)
 
     @cached_property
     def diadem(self):
@@ -165,12 +165,14 @@ def check_dc_oracle_agreement(ctx: GraphContext):
 
 
 def check_ker_is_intersection(ctx: GraphContext):
+    """ctx.ker, read off the cover, equals both the intersection of the
+    critical sets and ker by its per-vertex deletion definition."""
     if ctx.critical_sets is None:
         return None
     inter = set(range(ctx.g.n))
     for s in ctx.critical_sets:
         inter &= s
-    return ctx.ker == frozenset(inter)
+    return ctx.ker == frozenset(inter) == cr.ker(ctx.g)
 
 
 def check_diadem_is_union(ctx: GraphContext):
@@ -227,12 +229,12 @@ def check_bipartite_ker_equals_core(ctx: GraphContext):
 def check_theorem_2_5ii(ctx: GraphContext):
     """Deleting a ker vertex shrinks ker inside the old ker minus it.
 
-    ctx.ker comes from the deletion route.  For each v in it that is in
-    ker by the cover (`cr.cover_ker`), ker(G - v) is read off a repair of
-    G's cover matching (`cr.ker_without`).  Any other v, which only a
-    tampered ctx.ker holds, is read off the slack copies of G - v's own
-    cover.  G - v is built for every v all the same: the benchmark's
-    self-test pins one deletion per ker vertex."""
+    ctx.ker is read off the cover (`cr.cover_ker`), so for each v in it
+    ker(G - v) is read off a repair of G's cover matching
+    (`cr.ker_without`).  Any other v, which only a tampered ctx.ker holds,
+    is read off the slack copies of G - v's own cover.  G - v is built
+    for every v all the same: the benchmark's self-test pins one deletion
+    per ker vertex."""
     g = ctx.g
     slack = cr.cover_ker(g)
     for v in ctx.ker:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import critindep
 from critindep import Graph, generate, to_edge_list, to_graph6
-from critindep.cli import LIMIT_CEILING, main
+from critindep.cli import COMMANDS, LIMIT_CEILING, build_parser, main
 
 from common import c3_with_pendant, complete, cycle, figure2_script, star
 
@@ -433,6 +434,57 @@ class TestHx:
 
     def test_dependent_set_exits_2(self, capsys, star_file):
         assert main(["hx", star_file, "--set", "0,1"]) == 2
+
+
+def _outcome(parse, argv, capsys):
+    """The exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as done:
+        parse(argv)
+    out = capsys.readouterr()
+    return done.value.code, out.out, out.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([name, "--help"] for name in COMMANDS), [], ["nope"],
+        ["analyze", "{}", "--bogus"], ["verify", "--family", "nope"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_help_and_errors_match_the_full_parser(self, capsys, c5_file,
+                                                   argv):
+        # main builds only the named command's subparser; what it prints
+        # and how it exits must be what the parser with all five gives.
+        argv = [arg.format(c5_file) for arg in argv]
+        got = _outcome(main, argv, capsys)
+        assert got == _outcome(build_parser().parse_args, argv, capsys)
+        assert got[0] in (0, 2)
+
+    def test_unknown_command_is_an_invalid_choice_for_command(self, capsys):
+        # Only the full build, which keeps the default metavar, names the
+        # argument "command" here.
+        code, _, err = _outcome(main, ["nope"], capsys)
+        assert code == 2
+        assert "error: argument command: invalid choice: 'nope'" in err
+
+    def test_main_builds_one_subparser_for_a_known_command(
+            self, capsys, monkeypatch, c5_file):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            counted)
+        assert main(["analyze", c5_file, "--json", "--no-timestamp"]) == 0
+        assert built == ["analyze"]
+        built.clear()
+        for argv in (["nope"], ["--help"], []):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert built == list(COMMANDS)
+            built.clear()
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

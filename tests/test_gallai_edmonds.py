@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -13,8 +14,9 @@ import critindep.matching as mt
 from critindep import (Graph, GallaiEdmondsPartition, LimitExceededError,
                        check_theorem_53, diadem, ker, neighborhood, reports)
 from critindep.gallai_edmonds import gallai_edmonds, missed_vertices_oracle
-from critindep.verification import (GraphContext, Limits, random_gnp,
-                                    run_graph_checks)
+from critindep.graphs import induced_subgraph
+from critindep.verification import (GraphContext, Limits, all_labeled_graphs,
+                                    random_gnp, run_graph_checks)
 
 from common import (components_by_masks, cycle, empty, induced_by_dict, path,
                     random_graphs, run_check, star)
@@ -146,6 +148,27 @@ class TestTheorem53:
         g = star(3)
         report = check_theorem_53(g, gallai_edmonds(g), subset_limit=0)
         assert report["a_subsets_touch_components"] is None
+
+    def test_c_clause_equals_the_matching_of_g_c(self):
+        # The clause reads g's maximum matching; it must give the verdict
+        # of a fresh matching of G[C], on the true partition and on one
+        # that moves a vertex of C into A, which both routes reject.
+        graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
+        graphs += random_graphs(300, seed=5301, max_n=200)
+        tampered = 0
+        for g in graphs:
+            p = gallai_edmonds(g)
+            partitions = [p]
+            if p.c_set:
+                v = min(p.c_set)
+                partitions.append(dataclasses.replace(
+                    p, a_set=p.a_set | {v}, c_set=p.c_set - {v}))
+            for q, want in zip(partitions, (True, False)):
+                got = check_theorem_53(g, q)["c_perfect_matching"]
+                sub, _ = induced_subgraph(g, q.c_set)
+                assert got == mt.has_perfect_matching(sub) == want
+            tampered += len(partitions) - 1
+        assert tampered > 10_000
 
 
 class TestLemma54:

@@ -12,7 +12,7 @@ from critindep import (FormatError, Graph, InvalidVertexError,
                        NotUnicyclicError, connected_components, difference,
                        delete_vertices, find_unique_cycle, generate_random,
                        induced_subgraph, neighborhood, parse_edge_list,
-                       parse_graph6, to_edge_list, to_graph6)
+                       parse_graph6, reports, to_edge_list, to_graph6)
 from critindep.critical import difference_table
 from critindep.graphs import MAX_VERTICES, bits, cycle_space_dimension
 
@@ -264,6 +264,24 @@ class TestComponentsAndCycles:
         assert cycle_space_dimension(cycle(5)) == 1
         assert cycle_space_dimension(complete(4)) == 3
 
+    def test_components_are_found_once_per_graph(self, monkeypatch):
+        # reports.analyze reads the components in _unicyclic_block, in
+        # GraphContext.disconnected_unicyclic and in cycle_space_dimension;
+        # on C5 plus an isolated vertex (disconnected, unicyclic, not KE)
+        # all of them share one search of the input graph.
+        g = Graph.build(6, [(i, (i + 1) % 5) for i in range(5)])
+        searched = []
+        prop = Graph.__dict__["components"]
+        search = prop.func
+        monkeypatch.setattr(prop, "func",
+                            lambda h: searched.append(h) or search(h))
+        report = reports.analyze(g)
+        assert report["unicyclic"]["verdict"] == "non-KE"
+        assert sum(h is g for h in searched) == 1
+        listed = connected_components(g)
+        listed.append(frozenset())
+        assert connected_components(g) == [frozenset(range(5)), {5}]
+
     def test_find_unique_cycle_c5(self):
         assert find_unique_cycle(cycle(5)) == [0, 1, 2, 3, 4]
 
@@ -345,6 +363,38 @@ class TestEdgeListFormat:
             parse_edge_list("3 3\n0 1\n1 2\n0 1\n")
         assert err.value.line == 4
         assert "duplicate" in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 1\n1 1\n", "line 2: edge (1,1) violates 0 <= u < v < n=3"),
+        ("3 1\n2 1\n", "line 2: edge (2,1) violates 0 <= u < v < n=3"),
+        ("3 1\n0 3\n", "line 2: edge (0,3) violates 0 <= u < v < n=3"),
+        ("# c\n3 3\n0 1\n1 2\n0 1\n", "line 5: duplicate edge (0,1)"),
+        ("3 1\n0 x\n", "line 2: non-integer edge endpoints"),
+        ("3\n", "line 1: expected header 'n m'"),
+        ("3 2\n0 1\n", "header declares 2 edges, found 1"),
+    ])
+    def test_rejection_messages(self, text, message):
+        # The parser is the only validation an edge list gets, so each
+        # rejection keeps its message and line number.
+        with pytest.raises(FormatError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+
+
+@settings(max_examples=150)
+@given(g=graphs(max_n=40), data=st.data())
+def test_parsers_give_the_graph_that_build_gives(g, data):
+    # Both parsers construct the Graph themselves, without Graph.build's
+    # second pass of checks; the result must be the same graph, with the
+    # same sorted edge tuple, whatever order the edges come in.
+    edges = data.draw(st.permutations(g.edges))
+    built = Graph.build(g.n, edges)
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    for parsed in (parse_edge_list(f"{g.n} {len(edges)}\n" + text),
+                   parse_graph6(to_graph6(built))):
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.edges == built.edges
+        assert type(parsed.edges) is tuple
 
 
 class TestGraph6Format:

@@ -232,6 +232,35 @@ def test_cover_ker_equals_ker_on_sparse_random_graphs():
         assert cover_ker(g) == ker(g)
 
 
+def test_context_ker_reads_the_cover_without_deletion_lookups(monkeypatch):
+    # GraphContext.ker, which the report and the checks read, is the
+    # cover route; the deletion route stays as its oracle.
+    lookups = []
+    lookup = critical.critical_difference
+
+    def counted(g, removed=()):
+        lookups.extend(removed)
+        return lookup(g, removed)
+
+    monkeypatch.setattr(critical, "critical_difference", counted)
+    for n in range(7):
+        for g in all_labeled_graphs(n):
+            got = GraphContext(g).ker
+            assert lookups == []
+            assert got == ker(g)
+            assert len(lookups) == g.n
+            lookups.clear()
+
+
+def test_ker_is_intersection_holds_ker_against_the_deletion_route(
+        monkeypatch):
+    g = star(3)
+    assert run_check(GraphContext(g), "ker_is_intersection") == "pass"
+    for wrong in (frozenset(), frozenset({1, 2}), frozenset(range(4))):
+        monkeypatch.setattr(critical, "ker", lambda h, wrong=wrong: wrong)
+        assert run_check(GraphContext(g), "ker_is_intersection") == "fail"
+
+
 def _ker_by_fresh_cover(g: Graph, v: int) -> frozenset[int]:
     h, labels = delete_vertices(g, [v])
     return frozenset(labels[u] for u in cover_ker(h))
