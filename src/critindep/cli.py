@@ -33,6 +33,9 @@ EXIT_LIMIT = 3
 # maximum-independent-set enumeration), which stays feasible up to n = 20.
 LIMIT_CEILING = 20
 
+# The input formats `--format` accepts; "auto" reads the first line.
+FORMATS = ("auto", "edgelist", "graph6")
+
 
 def _limits_from(args) -> Limits:
     """Limits from the flags, else the CRITINDEP_*_LIMIT variables, else
@@ -238,8 +241,7 @@ def cmd_hx(args) -> int:
 
 def _common_args(p, with_graph=True):
     if with_graph:
-        p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
-                       default="auto")
+        p.add_argument("--format", choices=FORMATS, default="auto")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
     p.add_argument("--enum-limit", type=int, default=None)
@@ -265,8 +267,7 @@ def _generate_args(p) -> None:
 
 def _recognize_args(p) -> None:
     p.add_argument("path")
-    p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
-                   default="auto")
+    p.add_argument("--format", choices=FORMATS, default="auto")
 
 
 def _verify_args(p) -> None:
@@ -286,8 +287,7 @@ def _hx_args(p) -> None:
     p.add_argument("path")
     p.add_argument("--set", required=True,
                    help="comma-separated independent vertex set")
-    p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
-                   default="auto")
+    p.add_argument("--format", choices=FORMATS, default="auto")
 
 
 # Each command's handler, help line and argument adder, in help order.

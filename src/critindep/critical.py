@@ -25,7 +25,7 @@ The copy layout and every fresh Hopcroft-Karp run live in
 `matching._match_sides`: the double cover is its matching with both
 sides full, and the best difference inside a set S is |S| minus its
 matching of S into N(S) (Hall's defect formula).  One maximum matching
-M of the double cover is computed per graph and kept in a small cache,
+M of the double cover is computed per graph and kept on the graph,
 together with its alternating structure, built on first use: the slack
 left copies (those an alternating path from an exposed left copy
 reaches), each with the parent that leads back to its exposed copy, and,
@@ -45,8 +45,6 @@ component reaches.
     covers, and J - N(J) is a critical independent set whenever J is
     critical (Larson, 2007), so the diadem is the set of vertices some
     such cover misses on both sides.
-  * several deleted vertices build the cover of G - S afresh: no route
-    here asks for them, and that oracle route needs no repair of M.
 
 Each polynomial route has an exhaustive-subset oracle beside it; the test
 suite holds them against each other on every corpus graph.  The oracles
@@ -69,8 +67,8 @@ from itertools import combinations, compress
 from typing import NamedTuple
 
 from .errors import LimitExceededError, PreconditionError
-from .graphs import (Graph, VertexSet, delete_vertices, difference,
-                     neighborhood, set_of)
+from .graphs import (Graph, VertexSet, _per_graph, difference, neighborhood,
+                     set_of)
 from .independence import is_independent
 from .matching import _match_sides
 
@@ -93,58 +91,52 @@ class _Slack(NamedTuple):
 
 
 class _Alternating(NamedTuple):
-    """The alternating structure of one maximum matching of a double cover,
-    over the left copies (see `_slack` and `_alternating`)."""
+    """The components of the left copies that are not slack, in one
+    maximum matching of a double cover (see `_alternating`)."""
 
-    slack: bytearray    # 1 where an exposed left copy reaches the copy
-    comp: list[int]     # component of each other copy, -1 at slack ones
+    comp: list[int]     # component of each such copy, -1 at slack ones
     reach: list[int]    # per component, the bitset of copies it reaches
 
 
-@dataclass(slots=True)
-class _Cover:
+class _Cover(NamedTuple):
     """The double cover of one graph, one maximum matching of it and d_c.
 
     The cover has a left copy u and a right copy u + n of every vertex u,
     and joins u to v + n and v to u + n for each edge uv.  `nbrs` lists
     the right neighbours of every left copy, as `_match_sides` builds
-    them; nothing here walks out of a right copy.  The slack pass and
-    the alternating structure are built on first use: `slack()`, the
-    slack flags with each slack copy's parent, the exposed copies and
-    those of them that have neighbours, for `cover_ker` and `ker_without`;
-    and `structure()`, which adds the components and their reach sets,
-    for a single-vertex deletion or `diadem`.
+    them; nothing here walks out of a right copy.
     """
 
     nbrs: list[list[int]]
     match: tuple[int, ...]
     dc: int
-    slack_pass: _Slack | None = None
-    alternating: _Alternating | None = None
-
-    def slack(self) -> _Slack:
-        if self.slack_pass is None:
-            n = len(self.nbrs)
-            exposed = bytearray(m == -1 for m in self.match[:n])
-            roots = [u for u in compress(range(n), exposed) if self.nbrs[u]]
-            self.slack_pass = _Slack(
-                *_slack(self.nbrs, self.match, exposed, roots),
-                exposed, roots)
-        return self.slack_pass
-
-    def structure(self) -> _Alternating:
-        if self.alternating is None:
-            self.alternating = _alternating(self.nbrs, self.match,
-                                            self.slack().flags)
-        return self.alternating
 
 
-@lru_cache(maxsize=4)
+@_per_graph
 def _double_cover(g: Graph) -> _Cover:
     """The double cover of g, shared by every `critical_difference`,
-    `cover_ker` and `diadem` call on g."""
+    `cover_ker`, `ker_without` and `diadem` call on g."""
     adj, match, _ = _match_sides(g, range(g.n), range(g.n))
     return _Cover(adj, tuple(match), match[:g.n].count(-1))
+
+
+@_per_graph
+def _slack_pass(g: Graph) -> _Slack:
+    """The slack pass over g's cover matching, from the exposed left
+    copies that have neighbours, for `cover_ker`, `ker_without` and every
+    single-vertex deletion."""
+    nbrs, match, _ = _double_cover(g)
+    exposed = bytearray(m == -1 for m in match[:g.n])
+    roots = [u for u in compress(range(g.n), exposed) if nbrs[u]]
+    return _Slack(*_slack(nbrs, match, exposed, roots), exposed, roots)
+
+
+@_per_graph
+def _structure(g: Graph) -> _Alternating:
+    """The components of g's cover matching, for the deletion of a vertex
+    that is not slack and for `diadem`."""
+    nbrs, match, _ = _double_cover(g)
+    return _alternating(nbrs, match, _slack_pass(g).flags)
 
 
 def _slack(nbrs: list[list[int]], match: Sequence[int], exposed: bytearray,
@@ -238,13 +230,13 @@ def _alternating(nbrs: list[list[int]], match: tuple[int, ...],
                             if comp[z] != c:
                                 bitset |= reach[comp[z]]
                     reach.append(bitset)
-    return _Alternating(slack, comp, reach)
+    return _Alternating(comp, reach)
 
 
-def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
-    """d_c(g - removed) = max d(X) over the subsets X of g - removed,
-    computed as the number of vertices minus the matching number of the
-    double cover.
+def critical_difference(g: Graph, v: int | None = None) -> int:
+    """d_c(g), or d_c(g - v) when a vertex v is given: the max of d(X) over
+    the subsets X, computed as the number of vertices minus the matching
+    number of the double cover.
 
     By Koenig's theorem the cover's matching deficiency on one side
     equals the maximum difference.  The cover's maximum matching M is
@@ -266,24 +258,18 @@ def critical_difference(g: Graph, removed: Iterable[int] = ()) -> int:
       augmenting path can come back at most.  It does iff u is not slack
       and reaches v: the last step enters v through mate(v).  Then d_c,
       otherwise d_c + 1.
-
-    Several deleted vertices are answered from a fresh cover of
-    g - removed, an oracle route that no polynomial route here uses.
     """
-    cover = _double_cover(g)
-    gone = g.members(removed)
-    if not gone:
-        return cover.dc
-    if len(gone) > 1:
-        return critical_difference(delete_vertices(g, gone)[0])
-    (v,) = gone
-    slack, comp, reach = cover.structure()
-    if slack[v]:
-        return cover.dc - 1
-    u = cover.match[v + g.n]
+    _, match, dc = _double_cover(g)
+    if v is None:
+        return dc
+    slack = _slack_pass(g).flags
+    if slack[g.vertex(v)]:
+        return dc - 1
+    comp, reach = _structure(g)
+    u = match[v + g.n]
     if not slack[u] and reach[comp[u]] >> v & 1:
-        return cover.dc
-    return cover.dc + 1
+        return dc
+    return dc + 1
 
 
 class SubsetTable(NamedTuple):
@@ -387,7 +373,7 @@ def ker(g: Graph) -> VertexSet:
     dc = critical_difference(g)
     members = []
     for v in range(g.n):
-        if critical_difference(g, [v]) == dc - 1:
+        if critical_difference(g, v) == dc - 1:
             members.append(v)
     return frozenset(members)
 
@@ -404,12 +390,12 @@ def cover_ker(g: Graph) -> VertexSet:
     definition as the oracle that `ker_is_intersection` runs, and the
     benchmark's self-test pins its n + 1 `critical_difference` calls.
     """
-    return frozenset(compress(range(g.n), _double_cover(g).slack().flags))
+    return frozenset(compress(range(g.n), _slack_pass(g).flags))
 
 
 def ker_without(g: Graph, v: int) -> VertexSet:
     """ker(g - v) for a vertex v of ker(g), in g's labels, read off a
-    repair of g's cached cover matching M rather than a fresh cover of
+    repair of the cover matching M kept on g rather than a fresh cover of
     g - v.
 
     v is slack, so the cover of g - v keeps a matching of M's size (see
@@ -434,21 +420,20 @@ def ker_without(g: Graph, v: int) -> VertexSet:
     The slack copies of that pass, other than v, are ker(g - v) (see
     `cover_ker`).
     """
-    cover = _double_cover(g)
-    slack, _, exposed, roots = cover.slack()
+    slack, _, exposed, roots = _slack_pass(g)
     if not 0 <= v < g.n or not slack[v]:
         raise PreconditionError(f"vertex {v} is not in ker")
-    match, root = _repair(cover, v)
+    match, root = _repair(g, v)
     start = bytearray(exposed)
     start[root] = 0
     start[v] = 1
-    flags, _ = _slack(cover.nbrs, match, start,
+    flags, _ = _slack(_double_cover(g).nbrs, match, start,
                       [u for u in roots if u != root])
     flags[v] = 0
     return frozenset(compress(range(g.n), flags))
 
 
-def _repair(cover: _Cover, v: int) -> tuple[list[int], int]:
+def _repair(g: Graph, v: int) -> tuple[list[int], int]:
     """Steps 1 and 2 of `ker_without` for a slack v: a maximum matching
     of the cover of g - v, on a copy of the cover's match array, and the
     root whose path step 1 flipped (v itself when v is exposed).
@@ -456,8 +441,9 @@ def _repair(cover: _Cover, v: int) -> tuple[list[int], int]:
     In the copy, v is exposed and v + n is tied to v: both searches
     count v as visited, so neither passes through v + n.
     """
-    n = len(cover.nbrs)
-    parent = cover.slack().parent
+    n = g.n
+    cover = _double_cover(g)
+    parent = _slack_pass(g).parent
     match = list(cover.match)
     y, r = v, match[v]
     while r != -1:
@@ -503,7 +489,7 @@ def _augment(nbrs: list[list[int]], match: list[int], b: int,
 
 def diadem(g: Graph) -> VertexSet:
     """Union of all critical independent sets, read off the alternating
-    structure of the cached cover matching M (see `_alternating`).
+    structure of the cover matching M kept on g (see `_alternating`).
 
     For a critical set X, the left copies outside X and the right copies
     of N(X) form a minimum vertex cover of the double cover, and every
@@ -526,11 +512,11 @@ def diadem(g: Graph) -> VertexSet:
       neither it nor the slack copies hold u = mate(v + n), so that the
       cover can take u instead of v + n.
     """
-    cover = _double_cover(g)
-    slack, comp, reach = cover.structure()
-    match = cover.match
+    nbrs, match, _ = _double_cover(g)
+    slack = _slack_pass(g).flags
+    comp, reach = _structure(g)
     n = g.n
-    blocked = sum(1 << x for x, rs in enumerate(cover.nbrs)
+    blocked = sum(1 << x for x, rs in enumerate(nbrs)
                   if any(match[r] == -1 for r in rs))
     members = []
     for v in range(n):

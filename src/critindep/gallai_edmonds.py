@@ -12,19 +12,19 @@ factor-critical flag of a component reads that component's own last
 pass: odd order, one vertex left exposed, and every vertex even.  A
 singleton component is K1, factor-critical without a matching.
 
-The partition is built once per graph and kept in a small cache, so the
+The partition is built once per graph and kept on the graph, so the
 report and every check that reads it share one frozen copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations, compress
 from operator import or_
 
 from .errors import LimitExceededError
-from .graphs import Graph, VertexSet, bits
+from .graphs import Graph, VertexSet, _per_graph, bits
 # ker stays bound here: perfbench/test_perfbench.py checks that the tracer
 # rebinds and restores it in this namespace.
 from .critical import ker  # noqa: F401
@@ -49,15 +49,11 @@ class GallaiEdmondsPartition:
         return frozenset(out)
 
 
+@_per_graph
 def gallai_edmonds(g: Graph) -> GallaiEdmondsPartition:
     """D = vertices missed by some maximum matching; A = N(D) - D; C = rest."""
-    return _partition(g)
-
-
-@lru_cache(maxsize=4)
-def _partition(g: Graph) -> GallaiEdmondsPartition:
     base = mu(g)
-    d_set = frozenset(v for v in range(g.n) if mu(g, [v]) == base)
+    d_set = frozenset(v for v in range(g.n) if mu(g, v) == base)
     nbrs = g.nbrs
     a_set = frozenset(w for v in d_set for w in nbrs[v]) - d_set
     c_set = frozenset(range(g.n)) - d_set - a_set
@@ -133,7 +129,7 @@ def check_theorem_53(g: Graph, p: GallaiEdmondsPartition,
     """Verify the four structural clauses of the partition.  The subset
     clause (ii) is skipped (None) when A is too large to enumerate.
 
-    Clause (i) reads g's cached maximum matching M: it holds when M
+    Clause (i) reads the maximum matching M kept on g: it holds when M
     matches every vertex of C inside C, for then M restricted to C is a
     perfect matching of G[C].  Every maximum matching does so for the
     true partition (Gallai-Edmonds), so M is a certificate and no

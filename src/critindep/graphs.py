@@ -14,13 +14,20 @@ first time a routine reads it:
   neighbour), read only by the exhaustive 2^n oracles, where union and
   intersection take one machine operation per word.  They cost O(n^2)
   bits, so no polynomial route builds them.
+
+Each is a `functools.cached_property`, kept in the graph's own `__dict__`.
+The structures other modules derive from a graph (the double cover's
+matching and its alternating structure, the Edmonds matching, the
+Gallai-Edmonds partition) are kept there too, by `_per_graph`: each is
+built once per Graph object, shared by every query on it, and freed with
+it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, compress
 from math import isqrt
 
@@ -52,14 +59,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        # Every per-graph cache lookup hashes the graph; hashing the edge
-        # tuple walks all m edges, so do it once.
-        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -137,13 +136,18 @@ class Graph:
     def neighbors(self, v: int) -> VertexSet:
         return frozenset(self.nbrs[v])
 
+    def vertex(self, v: int) -> int:
+        """Validate one vertex and return it."""
+        if not (0 <= v < self.n):
+            raise InvalidVertexError(f"vertex {v} out of range 0..{self.n - 1}")
+        return v
+
     def members(self, xs: Iterable[int]) -> VertexSet:
         """Validate a vertex collection and return it as a set."""
         out = frozenset(xs)
-        for v in out:
-            if not (0 <= v < self.n):
-                raise InvalidVertexError(
-                    f"vertex {v} out of range 0..{self.n - 1}")
+        if out and (min(out) < 0 or max(out) >= self.n):
+            for v in out:
+                self.vertex(v)
         return out
 
     def mask_of(self, xs: Iterable[int]) -> int:
@@ -168,6 +172,23 @@ class Graph:
 
     def difference_mask(self, xmask: int) -> int:
         return xmask.bit_count() - self.neighborhood_mask(xmask).bit_count()
+
+
+def _per_graph(build):
+    """Memoise build(g) on the graph g itself, as `cached_property` does:
+    the value is kept in g.__dict__ under the builder's qualified name, so
+    it is built once per Graph object and freed with it."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def memo(g: Graph):
+        try:
+            return g.__dict__[key]
+        except KeyError:
+            value = g.__dict__[key] = build(g)
+            return value
+
+    return memo
 
 
 def neighborhood(g: Graph, x: Iterable[int]) -> VertexSet:

@@ -9,8 +9,8 @@ matchings between two vertex sets are all such matchings.  Every
 matching here reads the graph's neighbour lists; only the brute-force
 oracle reads its n-bit masks.
 
-The general matching of a graph is computed once and cached by
-`_base_matching`, from passes of one blossom-contraction routine,
+The general matching of a graph is computed once per graph by
+`_base_matching` and kept on the graph, from passes of one blossom-contraction routine,
 `_forest` (Edmonds; Lovasz-Plummer, Matching Theory, ch. 3).  Each pass
 grows one alternating forest from every exposed vertex and flips each
 augmenting path it meets, an edge between two trees.  The first pass,
@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import LimitExceededError, PartitionError, PreconditionError
-from .graphs import Graph, VertexSet, bits, delete_vertices
+from .graphs import Graph, VertexSet, _per_graph, bits
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -256,7 +256,7 @@ class _MaxMatching(NamedTuple):
     even: bytes     # 1 at each vertex of D
 
 
-@lru_cache(maxsize=4)
+@_per_graph
 def _base_matching(g: Graph) -> _MaxMatching:
     """One maximum matching of g, its size and D, shared by every `mu`,
     `max_matching_general` and `is_factor_critical` call on g: `_forest`
@@ -277,8 +277,8 @@ def max_matching_general(g: Graph) -> Matching:
     return Matching(tuple((u, v) for u, v in enumerate(match) if v > u))
 
 
-def mu(g: Graph, removed: Iterable[int] = ()) -> int:
-    """Matching number of g - removed.
+def mu(g: Graph, v: int | None = None) -> int:
+    """Matching number of g, or of g - v when a vertex v is given.
 
     The maximum matching M of g is computed once per graph by passes of
     one alternating forest (see `_forest`), and one deleted vertex v is
@@ -295,18 +295,11 @@ def mu(g: Graph, removed: Iterable[int] = ()) -> int:
       outermost blossoms as odd components, one more per tree than odd
       vertices: a Tutte-Berge barrier, and every maximum matching covers
       the odd and unlabelled vertices.
-
-    Several deleted vertices are answered from a fresh matching of
-    g - removed, an oracle route that no polynomial route here uses.
     """
     base = _base_matching(g)
-    gone = g.members(removed)
-    if not gone:
+    if v is None:
         return base.size
-    if len(gone) > 1:
-        return mu(delete_vertices(g, gone)[0])
-    (v,) = gone
-    return base.size - 1 + base.even[v]
+    return base.size - 1 + base.even[g.vertex(v)]
 
 
 def max_matching_bruteforce(g: Graph, limit: int = BRUTE_FORCE_LIMIT) -> int:

@@ -85,7 +85,7 @@ class TestPartition:
         assert [v for v in range(g.n) if match[v] == -1] == [g.n - 1]
         assert gallai_edmonds(g).d_set == missed_vertices_oracle(g) == d_set
         base = mt.mu(g)
-        assert [mt.mu(g, [v]) for v in range(g.n)] == [
+        assert [mt.mu(g, v) for v in range(g.n)] == [
             base - (v not in d_set) for v in range(g.n)]
 
     def test_one_matching_per_graph(self, monkeypatch):
@@ -105,8 +105,6 @@ class TestPartition:
             return counted(adj, match)
 
         monkeypatch.setattr(mt, "_forest", forest)
-        for cache in (ge._partition, mt._base_matching):
-            cache.cache_clear()
         p = gallai_edmonds(g)
         sizes = sorted(len(comp) for comp, _ in p.d_components
                        if len(comp) > 1)
@@ -114,7 +112,7 @@ class TestPartition:
         assert sorted(set(calls)) == [*sizes, n]
         calls.clear()
         base = mt.mu(g)
-        assert [mt.mu(g, [v]) for v in range(n)] == [
+        assert [mt.mu(g, v) for v in range(n)] == [
             base - (v not in p.d_set) for v in range(n)]
         assert calls == []
 
@@ -211,7 +209,6 @@ class TestPartitionCache:
             return counted(*args, **kwargs)
 
         monkeypatch.setattr(ge, "mu", mu)
-        ge._partition.cache_clear()
         statuses = run_graph_checks(GraphContext(g))
         reports.analyze(g)
         assert len(calls) == g.n + 1
@@ -269,7 +266,7 @@ def partition_per_component(g: Graph) -> GallaiEdmondsPartition:
     A through the bitmasks, and each component of G[D] cut out of G[D] by
     its own induced subgraph and matched, singletons included."""
     base = mt.mu(g)
-    d_set = frozenset(v for v in range(g.n) if mt.mu(g, [v]) == base)
+    d_set = frozenset(v for v in range(g.n) if mt.mu(g, v) == base)
     a_set = neighborhood(g, d_set) - d_set
     c_set = frozenset(range(g.n)) - d_set - a_set
     sub, labels = induced_by_dict(g, d_set)

@@ -1,17 +1,17 @@
-"""Deletion queries and structures read off one cached maximum matching.
+"""Deletion queries and structures read off the matchings kept on a graph.
 
-`critical_difference(g, [v])` reads the alternating structure of the
-cached double-cover matching, and `mu(g, [v])` reads the alternating
-forest that the cached blossom matching grows from its exposed vertices;
-both must agree with the same quantity computed from scratch on the
-graph G - v.  Several deleted vertices are answered from a fresh
-graph, and must agree with the oracles as well.  `diadem` reads the same
-alternating structure, and each clause of its membership test is pinned
-on a small graph.  The structures built on these (ker, diadem, the
-Gallai-Edmonds partition) must agree with the deletion route that builds
-every G - S as a fresh graph.  `ker_without(g, v)` repairs the cached
-cover matching into one of the cover of G - v, and must agree with the
-cover of G - v built afresh.
+`critical_difference(g, v)` reads the alternating structure of g's
+double-cover matching, and `mu(g, v)` reads the alternating forest that
+g's blossom matching grows from its exposed vertices; both are built once
+per graph and kept on it, and both must agree with the same quantity
+computed from scratch on the graph G - v.  Each deletion query takes one
+vertex; G - S for several vertices is built as a fresh graph, which the
+oracles check.  `diadem` reads the same alternating structure, and each
+clause of its membership test is pinned on a small graph.  The
+structures built on these (ker, diadem, the Gallai-Edmonds partition)
+must agree with the deletion route that builds every G - S as a fresh
+graph.  `ker_without(g, v)` repairs g's cover matching into one of the
+cover of G - v, and must agree with the cover of G - v built afresh.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critindep import (Graph, PreconditionError, cover_ker,
-                       critical_difference, critical_difference_oracle,
-                       diadem, diadem_oracle, is_factor_critical, ker,
-                       ker_without, max_matching_bruteforce,
-                       max_matching_general, mu)
+from critindep import (Graph, InvalidVertexError, PreconditionError,
+                       cover_ker, critical_difference,
+                       critical_difference_oracle, diadem, diadem_oracle,
+                       is_factor_critical, ker, ker_without,
+                       max_matching_bruteforce, max_matching_general, mu)
 from critindep import critical
-from critindep.critical import _double_cover, _repair
+from critindep.critical import (_double_cover, _repair, _slack_pass,
+                                _structure)
 from critindep.gallai_edmonds import gallai_edmonds
 from critindep.graphs import (bits, connected_components, delete_vertices,
                               induced_subgraph, neighborhood)
@@ -52,10 +53,12 @@ def graphs_with_removal(draw, max_n: int = 12):
 def test_repaired_values_match_the_deleted_graph(case):
     g, removed = case
     h, _ = delete_vertices(g, removed)
-    assert critical_difference(g, removed) == critical_difference(h)
+    if len(removed) <= 1:
+        v = removed[0] if removed else None
+        assert critical_difference(g, v) == critical_difference(h)
+        assert mu(g, v) == mu(h)
     assert critical_difference(h) == critical_difference_oracle(h)
-    assert mu(g, removed) == mu(h) == max_matching_general(h).size
-    assert mu(h) == max_matching_bruteforce(h)
+    assert mu(h) == max_matching_general(h).size == max_matching_bruteforce(h)
 
 
 @settings(max_examples=200)
@@ -63,7 +66,7 @@ def test_repaired_values_match_the_deleted_graph(case):
 def test_single_deletion_table_matches_the_oracle(g):
     for v in range(g.n):
         h, _ = delete_vertices(g, [v])
-        assert critical_difference(g, [v]) == critical_difference_oracle(h)
+        assert critical_difference(g, v) == critical_difference_oracle(h)
 
 
 @pytest.mark.parametrize("g, v, change", [
@@ -76,7 +79,7 @@ def test_single_deletion_table_matches_the_oracle(g):
 ])
 def test_single_deletion_gives_each_change(g, v, change):
     dc = critical_difference(g)
-    assert critical_difference(g, [v]) == dc + change
+    assert critical_difference(g, v) == dc + change
     assert critical_difference_oracle(delete_vertices(g, [v])[0]) == dc + change
 
 
@@ -89,9 +92,8 @@ def test_single_deletion_gives_each_change(g, v, change):
 ], ids=["triangle-with-pendants", "path-with-pendants"])
 def test_several_deleted_vertices_match_the_oracles(g, removed, dc, size):
     h, _ = delete_vertices(g, removed)
-    assert critical_difference(g, removed) == critical_difference_oracle(h)
-    assert critical_difference_oracle(h) == dc
-    assert mu(g, removed) == max_matching_bruteforce(h) == size
+    assert critical_difference(h) == critical_difference_oracle(h) == dc
+    assert mu(h) == max_matching_bruteforce(h) == size
 
 
 def _blocked(cover, x: int) -> bool:
@@ -103,7 +105,8 @@ def _blocked(cover, x: int) -> bool:
 def test_diadem_drops_a_vertex_that_reaches_its_cover_mate():
     g = cycle(3)
     cover = _double_cover(g)
-    slack, comp, reach = cover.structure()
+    slack = _slack_pass(g).flags
+    comp, reach = _structure(g)
     for v in range(g.n):
         u = cover.match[v + g.n]
         assert not slack[v] and not slack[u] and reach[comp[v]] >> u & 1
@@ -115,7 +118,8 @@ def test_diadem_drops_the_centre_of_p3():
     # right neighbour.
     g = path(3)
     cover = _double_cover(g)
-    slack, comp, reach = cover.structure()
+    slack = _slack_pass(g).flags
+    comp, reach = _structure(g)
     assert not slack[1] and slack[cover.match[1 + g.n]]
     assert any(_blocked(cover, x) for x in bits(reach[comp[1]]))
     assert diadem(g) == diadem_oracle(g) == {0, 2}
@@ -126,7 +130,7 @@ def test_diadem_takes_a_vertex_whose_right_copy_is_exposed():
     # matching of the cover; the mirror makes their left copies slack.
     g = star(3)
     cover = _double_cover(g)
-    slack = cover.structure().slack
+    slack = _slack_pass(g).flags
     exposed = {v for v in range(g.n) if cover.match[v + g.n] == -1}
     assert len(exposed) == 2 and all(slack[v] for v in exposed)
     assert exposed < diadem(g) == diadem_oracle(g) == {1, 2, 3}
@@ -135,7 +139,8 @@ def test_diadem_takes_a_vertex_whose_right_copy_is_exposed():
 def test_diadem_takes_a_vertex_whose_cover_mate_lies_outside_its_reach():
     g = path(4)
     cover = _double_cover(g)
-    slack, comp, reach = cover.structure()
+    slack = _slack_pass(g).flags
+    comp, reach = _structure(g)
     assert not any(slack) and not any(_blocked(cover, x) for x in range(g.n))
     assert not reach[comp[1]] >> cover.match[1 + g.n] & 1
     assert diadem(g) == diadem_oracle(g) == {0, 1, 2, 3}
@@ -148,8 +153,8 @@ def test_repairs_match_fresh_covers_on_sparse_random_graphs():
                             if rng.random() < 3 / n])
         for v in range(n):
             h, _ = delete_vertices(g, [v])
-            assert critical_difference(g, [v]) == critical_difference(h)
-            assert mu(g, [v]) == mu(h)
+            assert critical_difference(g, v) == critical_difference(h)
+            assert mu(g, v) == mu(h)
 
 
 def _ker_by_deletion(g: Graph) -> frozenset[int]:
@@ -238,9 +243,10 @@ def test_context_ker_reads_the_cover_without_deletion_lookups(monkeypatch):
     lookups = []
     lookup = critical.critical_difference
 
-    def counted(g, removed=()):
-        lookups.extend(removed)
-        return lookup(g, removed)
+    def counted(g, v=None):
+        if v is not None:
+            lookups.append(v)
+        return lookup(g, v)
 
     monkeypatch.setattr(critical, "critical_difference", counted)
     for n in range(7):
@@ -291,7 +297,7 @@ def _assert_maximum_matching_of_the_cover_without(g: Graph, v: int) -> None:
     """The repaired match array pairs copies of g - v along cover edges,
     exposes v, ties v + n to v, and is as large as the fresh cover's."""
     cover = _double_cover(g)
-    match, _ = _repair(cover, v)
+    match, _ = _repair(g, v)
     n = g.n
     assert match[v] == -1 and match[v + n] == v
     pairs = 0
@@ -320,7 +326,7 @@ def test_the_flip_path_never_runs_through_the_right_copy_of_v():
     for n in range(7):
         for g in all_labeled_graphs(n):
             cover = _double_cover(g)
-            slack = cover.slack().flags
+            slack = _slack_pass(g).flags
             for v in cover_ker(g):
                 b = cover.match[v + n]
                 assert b == -1 or not slack[b]
@@ -377,6 +383,16 @@ def test_ker_without_when_the_search_from_b_meets_a_dead_end(monkeypatch):
     g = Graph.build(5, [(0, 1), (0, 3), (0, 4), (1, 2)])
     [(entered, changed)] = _repair_case(g, 3, monkeypatch)
     assert entered > changed
+
+
+@pytest.mark.parametrize("query", [critical_difference, mu])
+@pytest.mark.parametrize("g", [Graph.build(0, []), star(3), cycle(5)],
+                         ids=["empty", "star", "cycle"])
+def test_deletion_queries_reject_a_vertex_out_of_range(query, g):
+    # A bare index into a per-vertex array would take -1 without a word.
+    for v in (-1, g.n):
+        with pytest.raises(InvalidVertexError):
+            query(g, v)
 
 
 def test_ker_without_rejects_a_vertex_outside_ker():
@@ -454,15 +470,15 @@ def test_equal_graphs_built_separately_give_equal_answers():
     second = Graph.build(7, list(reversed(edges)))
     assert first == second and first is not second
     for v in range(7):
-        assert critical_difference(first, [v]) == critical_difference(
-            second, [v])
-        assert mu(first, [v]) == mu(second, [v])
+        assert critical_difference(first, v) == critical_difference(
+            second, v)
+        assert mu(first, v) == mu(second, v)
     assert ker(first) == ker(second) == frozenset({1, 2})
 
 
 def test_interleaved_graphs_keep_their_own_answers():
-    # More graphs than any of the caches holds, queried round-robin, so
-    # every entry is evicted and rebuilt while the others are in use.
+    # Each graph keeps its own matchings and partition; graphs queried
+    # round-robin must never read another graph's structures.
     rng = random.Random(3)
     pool = [Graph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                             if rng.random() < 0.3])
@@ -478,8 +494,8 @@ def test_interleaved_graphs_keep_their_own_answers():
         for v in range(12):
             for g in pool:
                 if v < g.n:
-                    assert (critical_difference(g, [v]),
-                            mu(g, [v])) == expected[g, v]
+                    assert (critical_difference(g, v),
+                            mu(g, v)) == expected[g, v]
                 if v % 4 == 0:
                     assert _partition_fields(g) == expected[g]
     for g in pool:
