@@ -3,6 +3,11 @@
 Commands: analyze, generate, recognize, verify, hx.
 Exit codes: 0 success, 1 verification failure, 2 parse/config error,
 3 exact fields requested beyond their limits.
+
+`main` is called once per command by the shell and many times per process
+by the benchmark and the tests, so its fixed costs are paid once: it keeps
+one parser per command name, and `--json` output is written by
+`_json_text` rather than by `json`'s pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -10,9 +15,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import critical as cr
@@ -83,6 +90,59 @@ def _load_graph(path: str, fmt: str) -> tuple[Graph, bytes, str]:
     return parse_graph6(first), data, "graph6"
 
 
+# What `json.dumps` writes for these scalars; any other goes to the C
+# one-shot encoder.
+_WORDS = {True: "true", False: "false", None: "null"}
+_ENCODE = json.JSONEncoder().encode
+
+
+def _json_scalar(value) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is True or value is False or value is None:
+        return _WORDS[value]
+    return _ENCODE(value)
+
+
+def _json_text(payload, newline: str = "\n") -> str:
+    """`json.dumps(payload, sort_keys=True, indent=2)`, byte for byte.
+
+    With `indent` set, `json` encodes in pure Python, one generator frame
+    per container.  This writer recurses only through dicts, lists and
+    tuples and joins each level with `",\n"` and the indentation.  Keys
+    and strings go through the C string encoder that `json` uses, ints
+    through `int.__repr__` as in `json` (a list of plain ints in one
+    join), and any other scalar through the C one-shot encoder.
+    `newline` is the line break plus the current level's indentation.
+    Dict keys must be strings, as in every payload the commands print.
+    """
+    if isinstance(payload, dict):
+        if not payload:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(payload):
+            value = payload[key]
+            items.append(encode_basestring_ascii(key) + ": " + (
+                _json_text(value, inner)
+                if isinstance(value, (dict, list, tuple))
+                else _json_scalar(value)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(payload, (list, tuple)):
+        if not payload:
+            return "[]"
+        inner = newline + "  "
+        if all(type(item) is int for item in payload):
+            items = map(int.__repr__, payload)
+        else:
+            items = [_json_text(item, inner) for item in payload]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _json_scalar(payload)
+
+
 def _emit(payload: dict, args, render) -> None:
     """Print payload as JSON with --json, else as render(payload); stamp it
     with the time unless --no-timestamp."""
@@ -90,7 +150,7 @@ def _emit(payload: dict, args, render) -> None:
         payload["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         print(render(payload), end="")
 
@@ -235,7 +295,7 @@ def cmd_hx(args) -> int:
         "gadget_ker": gadget_ker,
         "ker_equals_x": gadget_ker == embedded,
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_json_text(payload))
     return EXIT_OK
 
 
@@ -312,8 +372,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     spells every command out in the subcommand metavar, so an error raised
     after the command prints the usage line of the full parser.  The full
     build keeps the default metavar, under which an unknown command is an
-    invalid choice for "command".  No parser is cached: a one-shot process
-    builds it once either way, and a cache only helps in-process callers.
+    invalid choice for "command".  Each call returns a fresh parser;
+    `main` keeps one per value of `only` (`_parser`), because the
+    benchmark and the test suite call it many times in one process, while
+    a one-shot process still builds exactly one.
     """
     parser = argparse.ArgumentParser(
         prog="critindep",
@@ -329,10 +391,15 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per command name (None: all five) per process.  Help text
+# is formatted when it is printed, so COLUMNS still applies.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     only = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(only).parse_args(argv)
+    args = _parser(only).parse_args(argv)
     return args.func(args)
 
 

@@ -671,14 +671,42 @@ def build_hx(g: Graph, x: Iterable[int]) -> HXGadget:
                     v_label=v_label, w_label=w_label, embedding=embedding)
 
 
+def _max_differences_without(g: Graph, xs: VertexSet) -> list[int]:
+    """max d(Y) over the subsets Y of X - v, for each v of X = xs in
+    ascending order, from one matching.
+
+    Let H join a left copy of each vertex of X to a right copy of each
+    vertex of N(X), and let k = |X| - nu(H) be its deficiency, which is
+    max d(Y) over the subsets Y of X (Hall).  Deleting v's left copy
+    leaves the same bipartite graph for X - v, up to right copies that
+    lose all their edges, so the maximum over the subsets of X - v is
+    |X| - 1 - nu(H - v).  nu(H - v) = nu(H) exactly when some maximum
+    matching misses v, that is, when an alternating path from an exposed
+    left copy of the matching at hand reaches v (Dulmage-Mendelsohn).  So
+    the maximum is k - 1 for a reached v and k otherwise.
+    """
+    adj, match, _ = _match_sides(g, sorted(xs), sorted(neighborhood(g, xs)))
+    reached = [mate == -1 for mate in match[:len(adj)]]
+    stack = [i for i, hit in enumerate(reached) if hit]
+    deficiency = len(stack)
+    while stack:
+        for right in adj[stack.pop()]:
+            # A right copy next to a reached left copy is matched, or the
+            # matching would not be maximum.
+            mate = match[right]
+            if not reached[mate]:
+                reached[mate] = True
+                stack.append(mate)
+    return [deficiency - hit for hit in reached]
+
+
 def _check_strict_subset_differences(g: Graph, xs: VertexSet) -> None:
     """Require d(Y) < d(X) for every proper subset Y of X = xs.
 
-    Every proper subset lies in X - v for some v in X, so |X| calls of
-    `max_subset_difference` decide it."""
+    Every proper subset lies in X - v for some v in X, so the maxima of
+    `_max_differences_without` decide it."""
     dx = difference(g, xs)
-    for v in sorted(xs):
-        best = max_subset_difference(g, xs - {v})
+    for v, best in zip(sorted(xs), _max_differences_without(g, xs)):
         if best >= dx:
             raise PreconditionError(
                 f"a subset of x without {v} has difference {best} "

@@ -16,9 +16,15 @@ from hypothesis import strategies as st
 
 import critindep
 from critindep import Graph, generate, to_edge_list, to_graph6
-from critindep.cli import COMMANDS, LIMIT_CEILING, build_parser, main
+from critindep.cli import (COMMANDS, LIMIT_CEILING, _json_text, _parser,
+                           build_parser, main)
 
-from common import c3_with_pendant, complete, cycle, figure2_script, star
+from common import (c3_with_pendant, complete, cycle, figure1_graph,
+                    figure2_script, star)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -451,12 +457,14 @@ class TestParser:
     ], ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_help_and_errors_match_the_full_parser(self, capsys, c5_file,
                                                    argv):
-        # main builds only the named command's subparser; what it prints
-        # and how it exits must be what the parser with all five gives.
+        # main builds only the named command's subparser and keeps it;
+        # what it prints and how it exits, on the first call and with the
+        # kept parser, must be what the parser with all five gives.
         argv = [arg.format(c5_file) for arg in argv]
-        got = _outcome(main, argv, capsys)
-        assert got == _outcome(build_parser().parse_args, argv, capsys)
-        assert got[0] in (0, 2)
+        full = _outcome(build_parser().parse_args, argv, capsys)
+        assert full[0] in (0, 2)
+        for _ in range(2):
+            assert _outcome(main, argv, capsys) == full
 
     def test_unknown_command_is_an_invalid_choice_for_command(self, capsys):
         # Only the full build, which keeps the default metavar, names the
@@ -465,8 +473,8 @@ class TestParser:
         assert code == 2
         assert "error: argument command: invalid choice: 'nope'" in err
 
-    def test_main_builds_one_subparser_for_a_known_command(
-            self, capsys, monkeypatch, c5_file):
+    def test_main_builds_each_parser_once(self, capsys, monkeypatch,
+                                          c5_file):
         built = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -476,15 +484,55 @@ class TestParser:
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                             counted)
-        assert main(["analyze", c5_file, "--json", "--no-timestamp"]) == 0
+        _parser.cache_clear()
+        argv = ["analyze", c5_file, "--json", "--no-timestamp"]
+        assert main(argv) == 0
+        assert built == ["analyze"]
+        assert main(argv) == 0
         assert built == ["analyze"]
         built.clear()
         for argv in (["nope"], ["--help"], []):
             with pytest.raises(SystemExit):
                 main(argv)
-            assert built == list(COMMANDS)
-            built.clear()
+        assert built == list(COMMANDS)
         capsys.readouterr()
+
+
+class TestJsonText:
+    @settings(max_examples=150)
+    @given(payload=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.text("[]{},:\"\\\n\t\u00e9\u2603\U0001f600"),
+        lambda inner: st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text() | st.text("[]{},:\"\\\u00e9"), inner),
+        max_leaves=30))
+    def test_matches_json_dumps(self, payload):
+        assert _json_text(payload) == json.dumps(payload, sort_keys=True,
+                                                 indent=2)
+
+    def test_matches_json_dumps_on_every_seed_0_benchmark_payload(
+            self, capsys, tmp_path):
+        workloads.write_corpus(0, tmp_path)
+        count = 0
+        for workload in workloads.WORKLOAD_NAMES:
+            for command in workloads.commands(workload, 0, tmp_path):
+                assert main(list(command.argv)) == 0
+                text = capsys.readouterr().out
+                assert text == json.dumps(json.loads(text), sort_keys=True,
+                                          indent=2) + "\n"
+                count += 1
+        assert count == 50 + 4 + 44
+
+    def test_hx_prints_what_json_dumps_prints(self, capsys, tmp_path):
+        g, x = figure1_graph()
+        target = tmp_path / "figure1.txt"
+        target.write_text(to_edge_list(g))
+        argv = ["hx", str(target), "--set", ",".join(map(str, x))]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,9 +18,11 @@ from critindep import (ColoredUnicyclic, Graph, PreconditionError, build_hx,
                        min_cardinality_positive_subset, verify_hx_ker)
 from critindep import critical
 from critindep.critical import (_check_strict_subset_differences,
-                                difference_table, max_subset_difference)
+                                _max_differences_without, difference_table,
+                                max_subset_difference)
 from critindep.graphs import bits, set_of
-from critindep.verification import (GraphContext, Limits, random_gnp,
+from critindep.verification import (GraphContext, Limits,
+                                    all_labeled_graphs, random_gnp,
                                     run_graph_checks)
 
 from common import (cycle, empty, figure1_graph, path, run_check, star,
@@ -201,18 +203,40 @@ class TestStrictSubsetPrecondition:
             holds = False
         assert holds == strict_subsets_reference(g, xmask)
 
-    def test_one_call_per_vertex(self, monkeypatch):
-        calls = []
+    def test_one_matching_and_no_per_vertex_calls(self, monkeypatch):
+        calls = {"_match_sides": 0, "max_subset_difference": 0}
 
-        def counted(g, s):
-            calls.append(s)
-            return max_subset_difference(g, s)
+        def counting(name):
+            original = getattr(critical, name)
 
-        monkeypatch.setattr(critical, "max_subset_difference", counted)
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(critical, name, counting(name))
         g = Graph.build(8, [(0, i) for i in (1, 2, 3)]
                         + [(4, i) for i in (5, 6, 7)])
         _check_strict_subset_differences(g, frozenset([1, 2, 3, 5, 6, 7]))
-        assert len(calls) == 6
+        assert calls == {"_match_sides": 1, "max_subset_difference": 0}
+
+    def test_each_maximum_is_the_one_of_x_without_v(self):
+        # Every nonempty set of every labeled graph on at most five
+        # vertices, and one seeded set per labeled graph on six.
+        rng = random.Random(23)
+        count = 0
+        for n in range(1, 7):
+            for g in all_labeled_graphs(n):
+                masks = (range(1, 1 << n) if n < 6
+                         else [rng.randrange(1, 1 << n)])
+                for xmask in masks:
+                    xs = set_of(xmask)
+                    assert _max_differences_without(g, xs) == [
+                        max_subset_difference(g, xs - {v})
+                        for v in sorted(xs)]
+                    count += 1
+        assert count == 32_767 + 32_768
 
     def test_names_the_left_out_vertex(self):
         g, x = figure1_graph()
