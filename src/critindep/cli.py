@@ -6,16 +6,16 @@ Exit codes: 0 success, 1 verification failure, 2 parse/config error,
 
 `main` is called once per command by the shell and many times per process
 by the benchmark and the tests, so its fixed costs are paid once: it keeps
-one parser per command name, and `--json` output is written by
-`_json_text` rather than by `json`'s pure-Python indenting encoder.
+one parser per command name, `--json` output is written by `_json_text`
+rather than by `json`'s pure-Python indenting encoder, and the objects
+the import made are frozen out of the garbage collector's walks.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import datetime
 import functools
+import gc
 import json
 import os
 import sys
@@ -73,7 +73,7 @@ def _limits_from(args) -> Limits:
             raise ValueError(
                 f"{source} must be at most {LIMIT_CEILING}, got {value}")
         overrides[field] = value
-    return dataclasses.replace(Limits(), **overrides)
+    return Limits(**overrides)
 
 
 def _load_graph(path: str, fmt: str) -> tuple[Graph, bytes, str]:
@@ -147,6 +147,7 @@ def _emit(payload: dict, args, render) -> None:
     """Print payload as JSON with --json, else as render(payload); stamp it
     with the time unless --no-timestamp."""
     if not args.no_timestamp:
+        import datetime  # only here: --no-timestamp runs never load it
         payload["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
     if args.json:
@@ -401,6 +402,16 @@ def main(argv: list[str] | None = None) -> int:
     only = argv[0] if argv and argv[0] in COMMANDS else None
     args = _parser(only).parse_args(argv)
     return args.func(args)
+
+
+# What the collector tracks when this import ends (in a command process,
+# the package's modules, classes and functions) lives as long as the
+# process.  Moving it to the permanent generation keeps every later
+# collection from walking it: otherwise the first generation-1 collection
+# inside a command walks the import's young survivors, several thousand
+# objects and about 0.7 ms on analyze inputs.  Frozen objects are still
+# freed by reference counting.
+gc.freeze()
 
 
 if __name__ == "__main__":

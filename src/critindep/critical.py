@@ -61,7 +61,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
 from typing import NamedTuple
@@ -638,8 +637,7 @@ def min_cardinality_positive_subset(g: Graph,
 # The two-new-vertex bipartite gadget
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HXGadget:
+class HXGadget(NamedTuple):
     """Bipartite gadget on X, N(X) and two fresh adjacent vertices v, w,
     with v joined to all of N(X)."""
 
@@ -730,8 +728,7 @@ def verify_hx_ker(g: Graph, x: Iterable[int]) -> bool:
 # Decomposition into inclusion-minimal positive sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinimalDecomposition:
+class MinimalDecomposition(NamedTuple):
     x: VertexSet
     k: int
     parts: tuple[VertexSet, ...]

@@ -18,10 +18,10 @@ report and every check that reads it share one frozen copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, compress
 from operator import or_
+from typing import NamedTuple
 
 from .errors import LimitExceededError
 from .graphs import Graph, VertexSet, _per_graph, bits
@@ -34,8 +34,7 @@ SUBSET_CLAUSE_LIMIT = 15
 MISSED_VERTICES_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class GallaiEdmondsPartition:
+class GallaiEdmondsPartition(NamedTuple):
     d_set: VertexSet
     a_set: VertexSet
     c_set: VertexSet

@@ -21,12 +21,18 @@ matching and its alternating structure, the Edmonds matching, the
 Gallai-Edmonds partition) are kept there too, by `_per_graph`: each is
 built once per Graph object, shared by every query on it, and freed with
 it.
+
+`Graph` is written by hand, not as a dataclass: importing `dataclasses`
+(which loads `inspect`) and compiling its generated methods would add to
+the start-up of every command.  It guarantees that `n` and `edges` are
+set once, by the constructor; that assigning or deleting any attribute
+raises AttributeError; that equality and the hash read `(n, edges)`
+alone; and that the repr is `Graph(n=..., edges=...)`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import accumulate, compress
 from math import isqrt
@@ -52,13 +58,38 @@ def set_of(mask: int) -> VertexSet:
     return frozenset(bits(mask))
 
 
-@dataclass(frozen=True)
 class Graph:
     """A finite simple graph: no loops, no parallel edges.  `n` and the
-    sorted edge tuple are its only compared and hashed fields."""
+    sorted edge tuple are its only compared and hashed fields.
+
+    Frozen: assigning or deleting an attribute raises AttributeError.
+    The `__dict__` holds both fields and the structures built on first
+    use (the cached properties and `_per_graph`), which write into it
+    directly.  The constructor trusts its arguments; `build` validates
+    and sorts them."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        self.__dict__.update(n=n, edges=edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -38,8 +37,7 @@ from .graphs import Graph, VertexSet, _per_graph, bits
 BRUTE_FORCE_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A set of pairwise vertex-disjoint edges of a graph."""
 
     edges: tuple[tuple[int, int], ...]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .errors import (NotUnicyclicError, PreconditionError, ScriptError)
 from .graphs import (Graph, VertexSet, connected_components,
@@ -29,14 +29,12 @@ Step = tuple[str, int]  # ("p2", target) or ("leaf", target)
 MAX_GENERATED_VERTICES = 10_000
 
 
-@dataclass(frozen=True)
-class BuildScript:
+class BuildScript(NamedTuple):
     cycle_length: int
     steps: tuple[Step, ...]
 
 
-@dataclass(frozen=True)
-class ColoredUnicyclic:
+class ColoredUnicyclic(NamedTuple):
     graph: Graph
     cycle: tuple[int, ...]
     blue: VertexSet

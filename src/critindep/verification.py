@@ -10,9 +10,9 @@ No check samples; the seed only orders `unicyclic_roundtrip`'s reduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from . import critical as cr
 from . import gallai_edmonds as ge
@@ -28,8 +28,7 @@ from .graphs import (Graph, connected_components,
 PAIR_SUBSET_LIMIT = 10      # all-pairs checks over critical sets
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     enumeration: int = cr.ENUMERATION_LIMIT     # full 2^n subset tables
     omega: int = ind.ENUMERATION_LIMIT          # all maximum independent sets
     alpha_exact: int = ind.ALPHA_LIMIT          # branch-and-bound alpha
@@ -666,20 +665,18 @@ FAMILIES = ("exhaustive-labeled", "random-gnp", "random-bipartite",
 RANDOM_MAX_N = 2000
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(NamedTuple):
     family: str
     min_n: int = 1
     max_n: int = 6
     samples: int = 100
     seed: int = 0
     checks: list[str] | None = None
-    limits: Limits = field(default_factory=Limits)
+    limits: Limits = Limits()
     inject_failure: bool = False
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     graphs: int
     counts: dict[str, dict[str, int]]
     certificates: list[tuple[str, str]]  # (graph6, check id)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import os
 import subprocess
@@ -105,8 +106,13 @@ class TestAnalyze:
         assert "minimal_positive_sets" in capsys.readouterr().err
 
     def test_timestamp_present_unless_suppressed(self, capsys, c5_file):
+        before = datetime.datetime.now(datetime.timezone.utc)
         _, with_ts = run_json(capsys, ["analyze", c5_file, "--json"])
-        assert "generated_at" in with_ts
+        # ISO 8601 in UTC, taken during the run.
+        stamp = datetime.datetime.fromisoformat(with_ts["generated_at"])
+        assert stamp.utcoffset() == datetime.timedelta(0)
+        assert before <= stamp <= datetime.datetime.now(
+            datetime.timezone.utc)
         _, without = run_json(
             capsys, ["analyze", c5_file, "--json", "--no-timestamp"])
         assert "generated_at" not in without

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from itertools import combinations, product
 
@@ -159,8 +158,8 @@ class TestTheorem53:
             partitions = [p]
             if p.c_set:
                 v = min(p.c_set)
-                partitions.append(dataclasses.replace(
-                    p, a_set=p.a_set | {v}, c_set=p.c_set - {v}))
+                partitions.append(p._replace(
+                    a_set=p.a_set | {v}, c_set=p.c_set - {v}))
             for q, want in zip(partitions, (True, False)):
                 got = check_theorem_53(g, q)["c_perfect_matching"]
                 sub, _ = induced_subgraph(g, q.c_set)

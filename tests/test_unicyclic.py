@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -278,7 +277,7 @@ def red_holding_a_d_vertex():
     misses 1, so 1 lies in the Gallai-Edmonds set D."""
     cu = generate(BuildScript(cycle_length=3,
                               steps=(("p2", 1), ("leaf", 3))))
-    return cu, dataclasses.replace(cu, red=cu.red | {1})
+    return cu, cu._replace(red=cu.red | {1})
 
 
 class TestRedSaturated:
