@@ -6,16 +6,14 @@ Exit codes: 0 success, 1 verification failure, 2 parse/config error,
 
 `main` is called once per command by the shell and many times per process
 by the benchmark and the tests, so its fixed costs are paid once: it keeps
-one parser per command name, `--json` output is written by `_json_text`
-rather than by `json`'s pure-Python indenting encoder, and the objects
-the import made are frozen out of the garbage collector's walks.
+one parser per command name, and `--json` output is written by
+`_json_text` rather than by `json`'s pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import os
 import sys
@@ -402,16 +400,6 @@ def main(argv: list[str] | None = None) -> int:
     only = argv[0] if argv and argv[0] in COMMANDS else None
     args = _parser(only).parse_args(argv)
     return args.func(args)
-
-
-# What the collector tracks when this import ends (in a command process,
-# the package's modules, classes and functions) lives as long as the
-# process.  Moving it to the permanent generation keeps every later
-# collection from walking it: otherwise the first generation-1 collection
-# inside a command walks the import's young survivors, several thousand
-# objects and about 0.7 ms on analyze inputs.  Frozen objects are still
-# freed by reference counting.
-gc.freeze()
 
 
 if __name__ == "__main__":

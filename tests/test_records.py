@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from critindep import BuildScript, Graph, generate, reports
+from critindep import BuildScript, Graph, Matching, generate, reports
 from critindep.verification import DEFAULT_LIMITS, Limits, SweepConfig
 
 from common import c3_with_pendant, cycle, figure2_script, petersen, star
@@ -62,6 +62,14 @@ class TestRecords:
         assert (script.cycle_length, script.steps) == (5, steps)
         assert script == BuildScript(5, steps)
         assert generate(script).graph.n == 8
+
+    def test_records_follow_tuple_rules_as_the_readme_says(self):
+        matching = Matching(((0, 1), (2, 3)))
+        assert (len(matching), matching.size) == (1, 2)
+        (edges,) = matching
+        assert edges == ((0, 1), (2, 3))
+        assert matching == (((0, 1), (2, 3)),)
+        assert BuildScript(3, ()) == (3, ())
 
     def test_sweep_config_defaults_are_the_default_limits(self):
         config = SweepConfig(family="random-gnp")
