@@ -37,6 +37,10 @@ EXIT_LIMIT = 3
 # exhaustive work over all 2^n subsets (a 2^n-entry difference table, the
 # maximum-independent-set enumeration), which stays feasible up to n = 20.
 LIMIT_CEILING = 20
+# The largest alpha limit a user may set: branch-and-bound alpha recurses
+# once per branching, up to n deep, which must stay well inside Python's
+# recursion limit.
+ALPHA_CEILING = 200
 
 # The input formats `--format` accepts; "auto" reads the first line.
 FORMATS = ("auto", "edgelist", "graph6")
@@ -44,16 +48,17 @@ FORMATS = ("auto", "edgelist", "graph6")
 
 def _limits_from(args) -> Limits:
     """Limits from the flags, else the CRITINDEP_*_LIMIT variables, else
-    the defaults.  A non-integer or negative value, or an enumeration or
-    omega limit above LIMIT_CEILING, raises ValueError."""
+    the defaults.  A non-integer or negative value, an enumeration or
+    omega limit above LIMIT_CEILING, or an alpha limit above
+    ALPHA_CEILING raises ValueError."""
     overrides = {}
-    for field, flag, flag_value, env_key in (
+    for field, flag, flag_value, env_key, ceiling in (
             ("enumeration", "--enum-limit", args.enum_limit,
-             "CRITINDEP_ENUM_LIMIT"),
+             "CRITINDEP_ENUM_LIMIT", LIMIT_CEILING),
             ("omega", "--omega-limit", args.omega_limit,
-             "CRITINDEP_OMEGA_LIMIT"),
+             "CRITINDEP_OMEGA_LIMIT", LIMIT_CEILING),
             ("alpha_exact", "--alpha-limit", args.alpha_limit,
-             "CRITINDEP_ALPHA_LIMIT")):
+             "CRITINDEP_ALPHA_LIMIT", ALPHA_CEILING)):
         if flag_value is not None:
             source, value = flag, flag_value
         elif env_key in os.environ:
@@ -67,9 +72,9 @@ def _limits_from(args) -> Limits:
             continue
         if value < 0:
             raise ValueError(f"{source} must be non-negative, got {value}")
-        if field != "alpha_exact" and value > LIMIT_CEILING:
+        if value > ceiling:
             raise ValueError(
-                f"{source} must be at most {LIMIT_CEILING}, got {value}")
+                f"{source} must be at most {ceiling}, got {value}")
         overrides[field] = value
     return Limits(**overrides)
 
@@ -81,7 +86,8 @@ def _load_graph(path: str, fmt: str) -> tuple[Graph, bytes, str]:
         # Only the first line that is neither blank nor a comment decides.
         first = next((s for ln in text.splitlines()
                       if (s := ln.strip()) and not s.startswith("#")), "")
-        fmt = "edgelist" if " " in first else "graph6"
+        # graph6 holds no whitespace; an edge-list line holds two fields.
+        fmt = "edgelist" if len(first.split()) > 1 else "graph6"
     if fmt == "edgelist":
         return parse_edge_list(text), data, "edgelist"
     first = next((ln for ln in text.splitlines() if ln.strip()), "")

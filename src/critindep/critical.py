@@ -140,16 +140,17 @@ def _structure(g: Graph) -> _Alternating:
 
 def _slack(nbrs: list[list[int]], match: Sequence[int], exposed: bytearray,
            roots: list[int]) -> tuple[bytearray, list[int]]:
-    """The slack flags of a maximum matching M of the double cover, 1 at
-    each slack left copy, and the parent of each copy the pass reaches.
+    """The slack flags of a maximum matching M of a `_match_sides`
+    bipartite graph, 1 at each slack left copy, and the parent of each
+    copy the pass reaches.
 
     A left copy is slack when an alternating path from an exposed left
     copy reaches it (exposed left, a right neighbour, that neighbour's
     mate, ...); these are the left copies that some maximum matching
-    misses.  Every right neighbour of a slack copy is matched, since M is
-    maximum.  A copy v is slack iff v + n is missed by some maximum
-    matching too: the mirror that swaps the copies maps maximum matchings
-    to maximum matchings.
+    misses (Dulmage-Mendelsohn).  Every right neighbour of a slack copy is
+    matched, since M is maximum.  In the double cover, a copy v is slack
+    iff v + n is missed by some maximum matching too: the mirror that
+    swaps the copies maps maximum matchings to maximum matchings.
 
     `exposed` flags the exposed left copies and `roots` lists those with
     neighbours, where the pass starts.  The parent of a reached copy y is
@@ -678,24 +679,16 @@ def _max_differences_without(g: Graph, xs: VertexSet) -> list[int]:
     max d(Y) over the subsets Y of X (Hall).  Deleting v's left copy
     leaves the same bipartite graph for X - v, up to right copies that
     lose all their edges, so the maximum over the subsets of X - v is
-    |X| - 1 - nu(H - v).  nu(H - v) = nu(H) exactly when some maximum
-    matching misses v, that is, when an alternating path from an exposed
-    left copy of the matching at hand reaches v (Dulmage-Mendelsohn).  So
-    the maximum is k - 1 for a reached v and k otherwise.
+    |X| - 1 - nu(H - v).  nu(H - v) = nu(H) exactly when v's copy is
+    slack (see `_slack`).  So the maximum is k - 1 for a slack v and k
+    otherwise.
     """
     adj, match, _ = _match_sides(g, sorted(xs), sorted(neighborhood(g, xs)))
-    reached = [mate == -1 for mate in match[:len(adj)]]
-    stack = [i for i, hit in enumerate(reached) if hit]
-    deficiency = len(stack)
-    while stack:
-        for right in adj[stack.pop()]:
-            # A right copy next to a reached left copy is matched, or the
-            # matching would not be maximum.
-            mate = match[right]
-            if not reached[mate]:
-                reached[mate] = True
-                stack.append(mate)
-    return [deficiency - hit for hit in reached]
+    exposed = bytearray(m == -1 for m in match[:len(adj)])
+    slack, _ = _slack(adj, match, exposed,
+                      list(compress(range(len(adj)), exposed)))
+    deficiency = exposed.count(1)
+    return [deficiency - hit for hit in slack]
 
 
 def _check_strict_subset_differences(g: Graph, xs: VertexSet) -> None:
@@ -711,15 +704,23 @@ def _check_strict_subset_differences(g: Graph, xs: VertexSet) -> None:
                 f">= d(x) = {dx}")
 
 
-def verify_hx_ker(g: Graph, x: Iterable[int]) -> bool:
-    """Build the gadget for x and check that its ker is exactly x."""
+def _strictly_positive(g: Graph, x: Iterable[int]) -> tuple[VertexSet, int]:
+    """x as a set and d(x), once x is checked to be independent, to have
+    d(x) > 0 and to have no proper subset of difference d(x) or more:
+    the sets of `verify_hx_ker` and `decompose_minimal`."""
     xs = g.members(x)
     if not is_independent(g, xs):
         raise PreconditionError("x must be independent")
-    if difference(g, xs) <= 0:
-        raise PreconditionError("x must have positive difference")
+    dx = difference(g, xs)
+    if dx <= 0:
+        raise PreconditionError(f"d(x) = {dx}, need positive")
     _check_strict_subset_differences(g, xs)
-    hx = build_hx(g, xs)
+    return xs, dx
+
+
+def verify_hx_ker(g: Graph, x: Iterable[int]) -> bool:
+    """Build the gadget for x and check that its ker is exactly x."""
+    hx = build_hx(g, _strictly_positive(g, x)[0])
     expected = frozenset(hx.embedding[u] for u in hx.x)
     return cover_ker(hx.gadget) == expected
 
@@ -744,13 +745,7 @@ def decompose_minimal(g: Graph, x: Iterable[int]) -> MinimalDecomposition:
     representatives picked so far; the representative is its smallest
     vertex.
     """
-    xs = g.members(x)
-    k = difference(g, xs)
-    if not is_independent(g, xs):
-        raise PreconditionError("x must be independent")
-    if k <= 0:
-        raise PreconditionError(f"d(x) = {k}, need positive")
-    _check_strict_subset_differences(g, xs)
+    xs, k = _strictly_positive(g, x)
     parts: list[VertexSet] = []
     reps: list[int] = []
     remaining = set(xs)

@@ -6,11 +6,12 @@ in D iff deleting v does not lower the matching number).  The maximum
 matching of the graph comes from passes of one alternating forest grown
 from every exposed vertex; the last pass flips nothing, and each of these
 n numbers is read off its even vertices.  A = N(D) - D is read off the
-neighbour lists, and the components of G[D] come from one search over
-them and one pass that hands each component its own edges.  Each
-factor-critical flag of a component reads that component's own last
-pass: odd order, one vertex left exposed, and every vertex even.  A
-singleton component is K1, factor-critical without a matching.
+neighbour lists.  The components of G[D] are the `components` of the
+induced subgraph G[D], and one pass over that subgraph's edges hands
+each component its own edges.  Each factor-critical flag of a
+component reads that component's own last pass: odd order, one vertex
+left exposed, and every vertex even.  A singleton component is K1,
+factor-critical without a matching.
 
 The partition is built once per graph and kept on the graph, so the
 report and every check that reads it share one frozen copy.
@@ -19,16 +20,16 @@ report and every check that reads it share one frozen copy.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, compress
+from itertools import combinations
 from operator import or_
 from typing import NamedTuple
 
 from .errors import LimitExceededError
-from .graphs import Graph, VertexSet, _per_graph, bits
+from .graphs import Graph, VertexSet, _per_graph, bits, induced_subgraph
 # ker stays bound here: perfbench/test_perfbench.py checks that the tracer
 # rebinds and restores it in this namespace.
 from .critical import ker  # noqa: F401
-from .matching import is_factor_critical, max_matching_general, mu
+from .matching import _base_matching, is_factor_critical, mu
 
 SUBSET_CLAUSE_LIMIT = 15
 MISSED_VERTICES_LIMIT = 10
@@ -64,33 +65,24 @@ def _d_components(g: Graph, d_set: VertexSet
                   ) -> tuple[tuple[VertexSet, bool], ...]:
     """The components of G[D] by smallest member, each with its
     factor-critical flag.  Each non-singleton component is built from its
-    own edges, relabelled in ascending order as `induced_subgraph` would
-    cut it out of g."""
-    nbrs = g.nbrs
-    in_d = g.flags_of(d_set)
-    comp = [-1] * g.n
-    rank = [0] * g.n
-    groups: list[list[int]] = []
-    for start in compress(range(g.n), in_d):
-        if comp[start] != -1:
-            continue
-        comp[start] = len(groups)
-        group = [start]
-        for v in group:
-            for w in nbrs[v]:
-                if in_d[w] and comp[w] == -1:
-                    comp[w] = comp[start]
-                    group.append(w)
-        group.sort()
+    own edges, handed out by one pass over the edges of G[D] and
+    relabelled in ascending order, as `induced_subgraph` would cut it out
+    of g."""
+    sub, labels = induced_subgraph(g, d_set)
+    groups = [sorted(comp) for comp in sub.components]
+    comp = [0] * sub.n
+    rank = [0] * sub.n
+    for c, group in enumerate(groups):
         for i, v in enumerate(group):
+            comp[v] = c
             rank[v] = i
-        groups.append(group)
     edges: list[list[tuple[int, int]]] = [[] for _ in groups]
-    for a, b in g.edges:
-        if in_d[a] and in_d[b]:
-            edges[comp[a]].append((rank[a], rank[b]))
-    return tuple((frozenset(group), len(group) == 1 or is_factor_critical(
-        Graph.build(len(group), own))) for group, own in zip(groups, edges))
+    for a, b in sub.edges:
+        edges[comp[a]].append((rank[a], rank[b]))
+    return tuple((frozenset(labels[v] for v in group),
+                  len(group) == 1 or is_factor_critical(
+                      Graph.build(len(group), own)))
+                 for group, own in zip(groups, edges))
 
 
 def missed_vertices_oracle(g: Graph,
@@ -133,13 +125,9 @@ def check_theorem_53(g: Graph, p: GallaiEdmondsPartition,
     perfect matching of G[C].  Every maximum matching does so for the
     true partition (Gallai-Edmonds), so M is a certificate and no
     matching of G[C] is computed."""
-    m = max_matching_general(g)
-    partner = {}
-    for u, v in m.edges:
-        partner[u] = v
-        partner[v] = u
+    partner = _base_matching(g).match    # -1 at an exposed vertex
     report: dict[str, bool | None] = {"c_perfect_matching": all(
-        partner.get(v) in p.c_set for v in p.c_set)}
+        partner[v] in p.c_set for v in p.c_set)}
 
     comp_of = {v: i for i, (comp, _) in enumerate(p.d_components)
                for v in comp}
@@ -169,7 +157,7 @@ def check_theorem_53(g: Graph, p: GallaiEdmondsPartition,
     used_components = set()
     ok = True
     for a in avs:
-        comp_idx = comp_of.get(partner.get(a))
+        comp_idx = comp_of.get(partner[a])
         if comp_idx is None or comp_idx in used_components:
             ok = False
             break

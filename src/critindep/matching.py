@@ -5,18 +5,21 @@ Every bipartite matching built from scratch comes from `_match_sides`:
 it gives each vertex of one side a left copy and each vertex of the
 other a right copy, joins them along the graph's edges and runs
 Hopcroft-Karp.  The double cover, the S-versus-N(S) matchings and the
-matchings between two vertex sets are all such matchings.  Every
-matching here reads the graph's neighbour lists; only the brute-force
-oracle reads its n-bit masks.
+matchings between two vertex sets are all such matchings.  The layered
+search for augmenting paths is iterative, so a path as long as the
+graph needs no deeper call stack than a short one.  Every matching here
+reads the graph's neighbour lists; only the brute-force oracle reads its
+n-bit masks.
 
 The general matching of a graph is computed once per graph by
-`_base_matching` and kept on the graph, from passes of one blossom-contraction routine,
-`_forest` (Edmonds; Lovasz-Plummer, Matching Theory, ch. 3).  Each pass
-grows one alternating forest from every exposed vertex and flips each
-augmenting path it meets, an edge between two trees.  The first pass,
-from the empty matching, matches greedily.  Passes repeat until one
-flips nothing: that pass proves the matching maximum, and its even
-vertices are the Gallai-Edmonds set D, so mu(G - v) is a lookup.
+`_base_matching` and kept on the graph, from passes of one
+blossom-contraction routine, `_forest` (Edmonds; Lovasz-Plummer,
+Matching Theory, ch. 3).  Each pass grows one alternating forest from
+every exposed vertex and flips each augmenting path it meets, an edge
+between two trees.  The first pass, from the empty matching, matches
+greedily.  Passes repeat until one flips nothing: that pass proves the
+matching maximum, and its even vertices are the Gallai-Edmonds set D,
+so mu(G - v) is a lookup.
 
 Witness matchings are valid and maximum but not canonical; callers must
 assert only size and validity.  Tie-breaking everywhere is lowest-vertex
@@ -122,6 +125,36 @@ def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]
                 match[v] = u
                 break
     dist = [0] * n
+
+    def search(root: int) -> None:
+        """Flip the first augmenting path from the exposed root along the
+        layers of `dist`, if there is one.  The depth-first search keeps
+        its path on two lists rather than on the call stack, since a path
+        may be as long as the graph: the left vertices, the k-th in layer
+        k, and an iterator over the neighbours each has not tried.  Each
+        step passes through the right vertex that is the next vertex's
+        mate.  A left vertex that leads to no free right vertex leaves
+        the layers."""
+        path = [root]
+        untried = [iter(adj[root])]
+        while untried:
+            for v in untried[-1]:
+                w = match[v]
+                if w == -1:
+                    # Each left vertex takes the right vertex it leads
+                    # through and hands its old mate on to the one before.
+                    for x in reversed(path):
+                        match[v] = x
+                        v, match[x] = match[x], v
+                    return
+                if dist[w] == len(path):
+                    path.append(w)
+                    untried.append(iter(adj[w]))
+                    break
+            else:
+                dist[path.pop()] = INF
+                untried.pop()
+
     while True:
         queue = deque()
         for u in left:
@@ -142,20 +175,9 @@ def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]
                     queue.append(w)
         if not found:
             break
-
-        def dfs(u: int) -> bool:
-            for v in adj[u]:
-                w = match[v]
-                if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                    match[u] = v
-                    match[v] = u
-                    return True
-            dist[u] = INF
-            return False
-
         for u in left:
             if match[u] == -1:
-                dfs(u)
+                search(u)
     return match
 
 

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 from .errors import (NotUnicyclicError, PreconditionError, ScriptError)
 from .graphs import (Graph, VertexSet, connected_components,
-                     cycle_space_dimension, find_unique_cycle,
-                     induced_subgraph)
+                     cycle_space_dimension, delete_vertices,
+                     find_unique_cycle, induced_subgraph)
 from .independence import ALPHA_LIMIT, alpha
 from .matching import mu
 
@@ -280,17 +280,10 @@ def disconnected_invariants(g: Graph, limit: int = ALPHA_LIMIT,
         raise PreconditionError("graph must be disconnected")
     if cycle_space_dimension(g) != 1:
         raise PreconditionError("graph must have exactly one cycle")
-    cyc_comps = []
-    forest_vertices: set[int] = set()
-    for comp in comps:
-        sub, _ = induced_subgraph(g, comp)
-        if cycle_space_dimension(sub) == 1:
-            cyc_comps.append(comp)
-        else:
-            forest_vertices |= comp
-    assert len(cyc_comps) == 1
-    gp, _ = induced_subgraph(g, cyc_comps[0])
-    f, _ = induced_subgraph(g, forest_vertices)
+    on_cycle = find_unique_cycle(g)[0]
+    cycle_comp = next(comp for comp in comps if on_cycle in comp)
+    gp, _ = induced_subgraph(g, cycle_comp)
+    f, _ = delete_vertices(g, cycle_comp)
     stats = {}
     for name, h in (("whole", g), ("cycle_component", gp), ("forest", f)):
         stats[name] = {

@@ -82,10 +82,10 @@ class GraphContext:
 
     @cached_property
     def critical_independent_sets(self):
-        if self.table is None:
+        if self.critical_sets is None:
             return None
-        return cr.enumerate_critical_sets(self.g, independent_only=True,
-                                          table=self.table)
+        return [s for s in self.critical_sets
+                if ind.is_independent(self.g, s)]
 
     @cached_property
     def minimal_positive_sets(self):
@@ -433,10 +433,7 @@ def check_black_in_some_mis(ctx: GraphContext):
     if cu is None or ctx.alpha is None:
         return None
     g = cu.graph
-    closed = set(cu.black)
-    for v in cu.black:
-        closed |= g.neighbors(v)
-    rest, _ = delete_vertices(g, closed)
+    rest, _ = delete_vertices(g, cu.black | neighborhood(g, cu.black))
     return len(cu.black) + ind.alpha(rest, ctx.limits.alpha_exact) == ctx.alpha
 
 

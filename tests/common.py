@@ -19,6 +19,19 @@ def path(n: int) -> Graph:
     return Graph.build(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def shuffled_path(n: int, seed: int) -> Graph:
+    """A path on n vertices, its labels shuffled by random.Random(seed):
+    the double cover's late augmenting paths run most of its length."""
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    return Graph.build(n, [(label[i], label[i + 1]) for i in range(n - 1)])
+
+
+def disjoint_triangles(k: int) -> Graph:
+    return Graph.build(3 * k, [(3 * t + a, 3 * t + b) for t in range(k)
+                               for a, b in ((0, 1), (0, 2), (1, 2))])
+
+
 def star(leaves: int) -> Graph:
     """K_{1,leaves} with the center at vertex 0."""
     return Graph.build(leaves + 1, [(0, i) for i in range(1, leaves + 1)])

@@ -1,12 +1,13 @@
-"""The analyze-sparse and verify-unicyclic benchmark commands give the
-recorded outputs.
+"""The benchmark commands give the recorded outputs.
 
 The benchmark in `perfbench/` judges every command it times against the
-digests in `perfbench/reference`; this runs the seed-0 commands of those
-two workloads once in-process and compares them the same way, so a change
-to an analyze report or to a verify verdict shows up here and not only in
-a benchmark run.  verify-unicyclic runs `theorem_2_5ii` on every graph.
-Nothing under `perfbench/` is written.
+digests in `perfbench/reference`; this runs the seed-0 commands of the
+three workloads once in-process and compares them the same way, so a
+change to an analyze report or to a verify verdict shows up here and not
+only in a benchmark run.  verify-unicyclic runs `theorem_2_5ii` on every
+graph; verify-oracle runs the enumeration checks, which read the critical
+and critical independent sets, on graphs of 10 to 14 vertices.  Nothing
+under `perfbench/` is written.
 """
 
 from __future__ import annotations
@@ -35,12 +36,19 @@ def test_analyze_sparse_seed_0_matches_the_reference(tmp_path, capsys):
         assert outputs.judge("analyze-sparse", command, result, ref) == (1, 0)
 
 
-def test_verify_unicyclic_seed_0_matches_the_reference(capsys):
-    commands = workloads.commands("verify-unicyclic", 0)
-    reference = outputs.read_reference(outputs.REFERENCE_DIR,
-                                       "verify-unicyclic")[0]
-    assert len(commands) == len(reference) == 44
+def _check_sweeps(capsys, workload: str, count: int) -> None:
+    commands = workloads.commands(workload, 0)
+    reference = outputs.read_reference(outputs.REFERENCE_DIR, workload)[0]
+    assert len(commands) == len(reference) == count
     for command, ref in zip(commands, reference):
         assert main(list(command.argv)) == 0
         payload = json.loads(capsys.readouterr().out)
         assert outputs.payload_digest(payload) == ref["payload_sha256"]
+
+
+def test_verify_unicyclic_seed_0_matches_the_reference(capsys):
+    _check_sweeps(capsys, "verify-unicyclic", 44)
+
+
+def test_verify_oracle_seed_0_matches_the_reference(capsys):
+    _check_sweeps(capsys, "verify-oracle", 50)

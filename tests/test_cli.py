@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 import critindep
 from critindep import Graph, generate, to_edge_list, to_graph6
-from critindep.cli import (COMMANDS, LIMIT_CEILING, _json_text, _parser,
-                           build_parser, main)
+from critindep.cli import (ALPHA_CEILING, COMMANDS, LIMIT_CEILING,
+                           _json_text, _parser, build_parser, main)
 
-from common import (c3_with_pendant, complete, cycle, figure1_graph,
-                    figure2_script, star)
+from common import (c3_with_pendant, complete, cycle, disjoint_triangles,
+                    figure1_graph, figure2_script, shuffled_path, star)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -145,6 +145,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("limit, value", [
         ("enum", LIMIT_CEILING + 1), ("omega", LIMIT_CEILING + 1),
+        ("alpha", ALPHA_CEILING + 1),
         ("enum", -1), ("omega", -1), ("alpha", -1),
     ])
     @pytest.mark.parametrize("via", ["flag", "env"])
@@ -171,6 +172,61 @@ class TestAnalyze:
         code, report = run_json(capsys, argv)
         assert code == 0
         assert report["critical"]["minimal_positive_count"] == 0
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_alpha_limit_above_its_ceiling_exits_2(self, capsys, tmp_path,
+                                                   monkeypatch, via):
+        # Branch-and-bound alpha on 1000 disjoint triangles would recurse
+        # past the interpreter's limit.
+        target = tmp_path / "triangles.txt"
+        target.write_text(to_edge_list(disjoint_triangles(1000)))
+        argv = ["analyze", str(target)]
+        if via == "flag":
+            argv.append("--alpha-limit=5000")
+            source = "--alpha-limit"
+        else:
+            monkeypatch.setenv("CRITINDEP_ALPHA_LIMIT", "5000")
+            source = "CRITINDEP_ALPHA_LIMIT"
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {source} must be at most {ALPHA_CEILING}, "
+            "got 5000\n")
+
+    def test_alpha_limit_at_its_ceiling_computes_alpha(self, capsys,
+                                                      tmp_path):
+        g = disjoint_triangles(ALPHA_CEILING // 3)
+        g = Graph.build(ALPHA_CEILING, g.edges)
+        target = tmp_path / "triangles.txt"
+        target.write_text(to_edge_list(g))
+        code, report = run_json(capsys, [
+            "analyze", str(target), f"--alpha-limit={ALPHA_CEILING}",
+            "--json", "--no-timestamp"])
+        assert code == 0
+        assert report["independence"]["alpha"] == (
+            ALPHA_CEILING // 3 + ALPHA_CEILING % 3)
+
+    def test_tab_separated_edge_list_is_detected(self, capsys, tmp_path):
+        target = tmp_path / "c5.tsv"
+        target.write_text(to_edge_list(cycle(5)).replace(" ", "\t"))
+        auto = run_json(capsys, ["analyze", str(target), "--json",
+                                 "--no-timestamp"])
+        assert auto == run_json(capsys, [
+            "analyze", str(target), "--format", "edgelist", "--json",
+            "--no-timestamp"])
+        assert auto[0] == 0
+        assert auto[1]["input"]["format"] == "edgelist"
+
+    def test_long_augmenting_paths_end_without_a_traceback(self, capsys,
+                                                           tmp_path):
+        # The double cover's Hopcroft-Karp search once recursed along
+        # each augmenting path and raised RecursionError here.
+        target = tmp_path / "path.txt"
+        target.write_text(to_edge_list(shuffled_path(20000, 0)))
+        code, report = run_json(capsys, ["analyze", str(target), "--json",
+                                         "--no-timestamp"])
+        assert code == 0
+        assert report["matching"]["mu"] == 10000
+        assert report["critical"]["d_c"] == 0
 
     def test_unicyclic_block_for_nonke_graph(self, capsys, tmp_path):
         cu = generate(figure2_script())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,15 @@ from itertools import combinations
 
 import critindep.matching as mt
 from critindep import (Graph, LimitExceededError, PartitionError,
-                       PreconditionError, has_perfect_matching,
+                       PreconditionError, critical_difference,
+                       has_perfect_matching,
                        is_factor_critical, matching_from_into,
                        max_matching_bipartite, max_matching_bruteforce,
                        max_matching_general, mu, neighborhood)
 from critindep.graphs import bits, delete_vertices
 
-from common import complete, cycle, empty, path, petersen, star
+from common import (complete, cycle, empty, path, petersen, random_graphs,
+                    shuffled_path, star)
 from conftest import bipartite_graphs, graphs
 
 
@@ -203,6 +206,81 @@ class TestMatchSides:
         adj, _, labels = mt._match_sides(g, range(g.n), range(g.n))
         assert adj == [[g.n + w for w in nb] for nb in g.nbrs]
         assert labels == [*range(g.n), *range(g.n)]
+
+
+def _hopcroft_karp_recursive(n, adj, left):
+    """`matching._hopcroft_karp` as it was with a recursive depth-first
+    search, one call per step of an augmenting path."""
+    INF = n + 1
+    match = [-1] * n
+    for u in left:
+        for v in adj[u]:
+            if match[v] == -1:
+                match[u] = v
+                match[v] = u
+                break
+    dist = [0] * n
+    while True:
+        queue = deque()
+        for u in left:
+            if match[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = match[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if not found:
+            break
+
+        def dfs(u):
+            for v in adj[u]:
+                w = match[v]
+                if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                    match[u] = v
+                    match[v] = u
+                    return True
+            dist[u] = INF
+            return False
+
+        for u in left:
+            if match[u] == -1:
+                dfs(u)
+    return match
+
+
+class TestHopcroftKarp:
+    @settings(max_examples=300)
+    @given(g=graphs(max_n=14), data=st.data())
+    def test_match_equals_the_recursive_search(self, g, data):
+        lmask = data.draw(st.integers(0, g.full_mask))
+        rmask = data.draw(st.integers(0, g.full_mask))
+        adj, match, _ = mt._match_sides(g, list(bits(lmask)),
+                                        list(bits(rmask)))
+        assert match == _hopcroft_karp_recursive(len(match), adj,
+                                                 list(range(len(adj))))
+
+    def test_double_covers_equal_the_recursive_search(self):
+        for g in random_graphs(300, seed=11, max_n=60):
+            adj, match, _ = mt._match_sides(g, range(g.n), range(g.n))
+            assert match == _hopcroft_karp_recursive(2 * g.n, adj,
+                                                     list(range(g.n)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_long_augmenting_paths(self, seed):
+        # The recursive search raised RecursionError on all five.
+        g = shuffled_path(10_000, seed)
+        assert critical_difference(g) == 0
+        _, match, _ = mt._match_sides(g, range(g.n), range(g.n))
+        assert -1 not in match
 
 
 class TestPredicates:
