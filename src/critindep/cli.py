@@ -5,25 +5,32 @@ Exit codes: 0 success, 1 verification failure, 2 parse/config error,
 3 exact fields requested beyond their limits.
 
 `main` is called once per command by the shell and many times per process
-by the benchmark and the tests, so its fixed costs are paid once: it keeps
-one parser per command name, and `--json` output is written by
-`_json_text` rather than by `json`'s pure-Python indenting encoder.
+by the benchmark and the tests, so its fixed costs are kept small.  Each
+command's arguments are declared once, by its `_*_args` function.  Run on
+a `_Recorder`, those declarations give the grammar of `_fast_parse`,
+which reads a well-formed command line (exact option spellings, plain
+values) without importing argparse; run on an argparse subparser, they
+give `build_parser`, which parses every other command line and alone
+prints help, usage and errors.  `main` keeps one argparse parser per
+command name, and `--json` output is written by `_json_text` rather than
+by `json`'s pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import critical as cr
 from . import unicyclic as uc
 from .errors import FormatError, GraphError
 from .graphs import Graph, parse_edge_list, parse_graph6, to_graph6
+from .independence import ALPHA_CEILING
 from .reports import analyze, render_text
 from .verification import FAMILIES, Limits, SweepConfig, run_sweep
 
@@ -37,11 +44,6 @@ EXIT_LIMIT = 3
 # exhaustive work over all 2^n subsets (a 2^n-entry difference table, the
 # maximum-independent-set enumeration), which stays feasible up to n = 20.
 LIMIT_CEILING = 20
-# The largest alpha limit a user may set: branch-and-bound alpha recurses
-# once per branching, up to n deep, which must stay well inside Python's
-# recursion limit.
-ALPHA_CEILING = 200
-
 # The input formats `--format` accepts; "auto" reads the first line.
 FORMATS = ("auto", "edgelist", "graph6")
 
@@ -368,20 +370,137 @@ COMMANDS = {
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser with every command's subparser, or with
-    only the subparser of the command named by `only`.
+class _Recorder:
+    """Stands in for an argparse parser while a command's `_*_args` runs.
+    It keeps each `add_argument` call; any other call (a mutually
+    exclusive group, say) marks the command as one `_fast_parse` leaves
+    to argparse."""
 
-    `main` runs one command per call and builds only that command's
-    subparser, about a third of the cost of all five.  A partial build
-    spells every command out in the subcommand metavar, so an error raised
-    after the command prints the usage line of the full parser.  The full
-    build keeps the default metavar, under which an unknown command is an
-    invalid choice for "command".  Each call returns a fresh parser;
-    `main` keeps one per value of `only` (`_parser`), because the
-    benchmark and the test suite call it many times in one process, while
-    a one-shot process still builds exactly one.
+    def __init__(self) -> None:
+        self.calls: list[tuple[tuple, dict]] = []
+        self.plain = True
+
+    def add_argument(self, *names: str, **kwargs) -> None:
+        self.calls.append((names, kwargs))
+
+    def __getattr__(self, name: str):
+        self.plain = False
+        return lambda *args, **kwargs: self
+
+
+# The add_argument keywords `_fast_parse` reads as argparse does.
+_FAST_KEYWORDS = {"action", "type", "choices", "default", "required",
+                  "help", "metavar"}
+
+
+def _grammar(name: str) -> tuple | None:
+    """Command `name`'s declarations as `_fast_parse` reads them: a map
+    from each option string to its (dest, flag, type, choices), the
+    positionals' (dest, flag, type, choices) in order, the required dests
+    and argparse's namespace before parsing.  None when a declaration uses
+    anything but positionals, _FAST_KEYWORDS, `action="store_true"` and
+    `type=int`."""
+    func, _, add_args = COMMANDS[name]
+    rec = _Recorder()
+    add_args(rec)
+    if not rec.plain:
+        return None
+    options, positionals, required = {}, [], set()
+    defaults = {"command": name, "func": func}
+    for names, kwargs in rec.calls:
+        if (not kwargs.keys() <= _FAST_KEYWORDS
+                or kwargs.get("action") not in (None, "store_true")
+                or kwargs.get("type") not in (None, int)):
+            return None
+        flag = kwargs.get("action") == "store_true"
+        optional = names[0].startswith("-")
+        # argparse's dest: a positional's name, else the first long option
+        # string (the first option string if none is long) without its
+        # dashes, inner dashes made underscores.
+        dest = names[0]
+        if optional:
+            dest = next((s for s in names if s.startswith("--")), dest)
+            dest = dest.lstrip("-").replace("-", "_")
+        spec = (dest, flag, kwargs.get("type"), kwargs.get("choices"))
+        if optional:
+            options.update(dict.fromkeys(names, spec))
+        else:
+            positionals.append(spec)
+        if kwargs.get("required"):
+            required.add(dest)
+        defaults[dest] = kwargs.get("default", False if flag else None)
+    return options, positionals, required, defaults
+
+
+_GRAMMARS = {name: _grammar(name) for name in COMMANDS}
+
+
+def _value(kind, choices, text: str):
+    """text converted by `type` and checked against `choices`, as argparse
+    does; ValueError also for a text starting with "-", which argparse may
+    read as an option or a negative number."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = text if kind is None else kind(text)
+    if choices is not None and value not in choices:
+        raise ValueError(text)
+    return value
+
+
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for a plainly well-formed argv, without
+    importing argparse; None for any other argv, and never an error.
+
+    argv[0] must be a command with a grammar, each later token an exact
+    option string or a value that does not start with "-", each option
+    that takes a value followed by one, every int and choice valid, every
+    required option present and the number of positionals exact.  A
+    repeated option keeps its last value, as in argparse.
     """
+    grammar = _GRAMMARS.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    options, positionals, required, defaults = grammar
+    values = dict(defaults)
+    seen = set()
+    free = []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                free.append(token)
+                continue
+            dest, flag, kind, choices = options[token]
+            seen.add(dest)
+            values[dest] = True if flag else _value(kind, choices,
+                                                    next(tokens))
+        if len(free) != len(positionals) or not required <= seen:
+            return None
+        for (dest, _, kind, choices), text in zip(positionals, free):
+            values[dest] = _value(kind, choices, text)
+    except (KeyError, StopIteration, ValueError):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The argparse parser with every command's subparser, or with only
+    the subparser of the command named by `only`.
+
+    `main` reads a well-formed argv with `_fast_parse` and builds a parser
+    only for what that declines: abbreviations, `--opt=value`, `--`,
+    help, and every argv that ends in an error.  So argparse alone prints
+    help, usage and errors, and is imported only then.  A partial build,
+    about a third of the cost of all five, spells every command out in the
+    subcommand metavar, so an error raised after the command prints the
+    usage line of the full parser.  The full build keeps the default
+    metavar, under which an unknown command is an invalid choice for
+    "command".  Each call returns a fresh parser; `main` keeps one per
+    value of `only` (`_parser`), because the benchmark and the test suite
+    call it many times in one process.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="critindep",
         description="Critical independence structure toolkit")
@@ -403,8 +522,10 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    args = _parser(only).parse_args(argv)
+    args = _fast_parse(argv)
+    if args is None:
+        only = argv[0] if argv and argv[0] in COMMANDS else None
+        args = _parser(only).parse_args(argv)
     return args.func(args)
 
 

@@ -14,6 +14,10 @@ from .graphs import Graph, VertexSet, bits, set_of
 
 ALPHA_LIMIT = 40
 ENUMERATION_LIMIT = 20
+# The largest alpha limit `alpha` accepts: its branch-and-bound recurses
+# once per branching, up to n deep, which must stay well inside Python's
+# recursion limit.
+ALPHA_CEILING = 200
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
@@ -22,7 +26,11 @@ def is_independent(g: Graph, s: Iterable[int]) -> bool:
 
 
 def alpha(g: Graph, limit: int = ALPHA_LIMIT) -> int:
-    """Independence number, exact branch-and-bound."""
+    """Independence number, exact branch-and-bound.  A limit above
+    ALPHA_CEILING raises ValueError, whatever the order of g."""
+    if limit > ALPHA_CEILING:
+        raise ValueError(
+            f"alpha limit must be at most {ALPHA_CEILING}, got {limit}")
     if g.n > limit:
         raise LimitExceededError(f"n={g.n} exceeds alpha limit {limit}")
     return _alpha_mask(g, g.full_mask)

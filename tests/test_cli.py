@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import io
 import json
 import os
 import subprocess
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 import critindep
 from critindep import Graph, generate, to_edge_list, to_graph6
 from critindep.cli import (ALPHA_CEILING, COMMANDS, LIMIT_CEILING,
-                           _json_text, _parser, build_parser, main)
+                           _fast_parse, _json_text, _parser, _Recorder,
+                           build_parser, main)
 
 from common import (c3_with_pendant, complete, cycle, disjoint_triangles,
                     figure1_graph, figure2_script, shuffled_path, star)
@@ -537,6 +540,8 @@ class TestParser:
 
     def test_main_builds_each_parser_once(self, capsys, monkeypatch,
                                           c5_file):
+        # A well-formed command line builds no parser; help and errors
+        # build each parser they need once per process.
         built = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -549,15 +554,102 @@ class TestParser:
         _parser.cache_clear()
         argv = ["analyze", c5_file, "--json", "--no-timestamp"]
         assert main(argv) == 0
-        assert built == ["analyze"]
         assert main(argv) == 0
-        assert built == ["analyze"]
-        built.clear()
-        for argv in (["nope"], ["--help"], []):
-            with pytest.raises(SystemExit):
-                main(argv)
-        assert built == list(COMMANDS)
+        assert built == [] and _parser.cache_info().currsize == 0
+        for _ in range(2):
+            for argv in (["nope"], ["--help"], [], ["analyze", "--help"],
+                         ["analyze", "--json"]):
+                with pytest.raises(SystemExit):
+                    main(argv)
+        assert built == [*COMMANDS, "analyze"]
         capsys.readouterr()
+
+
+# Values for the equivalence test: every option gets a good one (a
+# choice, an int, a plain string) about half the time, else one of these.
+_VALUES = ["auto", "random-gnp", "3", "0", "x", "", "1,2", "-3", "3.5",
+           "nope", "g.txt", "x y", "--json"]
+# Tokens the fast path must leave to argparse, or that argparse rejects.
+_AWKWARD = ["--", "-h", "--help", "-3", "--js", "--form", "--se",
+            "--json=1", "--format=auto", "--seed=3", "-", "--bogus",
+            "-x", "analyze"]
+
+
+def _argv(name: str):
+    """argv for command `name`: mostly its positionals and required
+    options, some other options with values and at most two awkward
+    tokens, in any order.  A positional or required option may also be
+    missing or repeated."""
+    rec = _Recorder()
+    COMMANDS[name][2](rec)
+    needed, units = [], []
+    for names, kwargs in rec.calls:
+        good = (kwargs.get("choices") or (["0", "7", "12"]
+                if kwargs.get("type") is int else ["g.txt", "1,2", ""]))
+        value = st.sampled_from(list(good)) | st.sampled_from(_VALUES)
+        if not names[0].startswith("-"):
+            unit = value.map(lambda v: [v])
+        elif kwargs.get("action") == "store_true":
+            unit = st.sampled_from(names).map(lambda o: [o])
+        else:
+            unit = st.tuples(st.sampled_from(names), value).map(list)
+        units.append(unit)
+        if not names[0].startswith("-") or kwargs.get("required"):
+            needed.append(unit)
+    awkward = st.sampled_from(_AWKWARD).map(lambda token: [token])
+    parts = st.tuples(
+        st.tuples(*needed) | st.tuples(*needed) | st.just(()),
+        st.lists(st.one_of(units), max_size=5),
+        st.lists(awkward, max_size=2) | st.just([]))
+    return parts.flatmap(
+        lambda p: st.permutations([*p[0], *p[1], *p[2]])).map(
+        lambda chosen: [name, *(token for unit in chosen for token in unit)])
+
+
+class TestFastParse:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=st.sampled_from(list(COMMANDS)).flatmap(_argv))
+    def test_agrees_with_argparse_or_declines(self, argv):
+        fast = _fast_parse(argv)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                full = vars(_parser(None).parse_args(argv))
+            except SystemExit:
+                full = None
+        if full is None:
+            assert fast is None
+        elif fast is not None:
+            assert vars(fast) == full
+
+    @pytest.mark.parametrize("workload", workloads.WORKLOAD_NAMES)
+    def test_benchmark_command_lines_take_the_fast_path(self, tmp_path,
+                                                        workload):
+        argv = list(workloads.commands(workload, 0, tmp_path)[0].argv)
+        fast = _fast_parse(argv)
+        assert fast is not None
+        assert vars(fast) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        # Outside the grammar: generate's mutually exclusive group.
+        ["generate", "--random", "5,1,1"],
+        # Tokens argparse reads as a positional, help or an error.
+        ["analyze", "-"], ["analyze", "-3"], ["analyze", "-h"],
+        ["analyze", "-x"], ["analyze", "--", "g"],
+        # Spellings argparse expands.
+        ["analyze", "g", "--js"], ["analyze", "g", "--json=1"],
+        # Values starting with "-", taken by argparse or an error there.
+        ["hx", "g", "--set", "-3"],
+        ["verify", "--family", "random-gnp", "--seed", "-3"],
+        ["verify", "--family", "random-gnp", "--checks", "--json"],
+        # Errors: a bad int or choice, a missing value, required option or
+        # positional, an extra positional.
+        ["verify", "--family", "random-gnp", "--seed", "3.5"],
+        ["verify", "--family", "nope"], ["analyze", "g", "--format"],
+        ["verify"], ["hx", "g"], ["analyze"], ["analyze", "g", "h"],
+    ], ids=" ".join)
+    def test_declines(self, argv):
+        assert _fast_parse(argv) is None
 
 
 class TestJsonText:

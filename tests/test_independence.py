@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from critindep import (LimitExceededError, alpha, core,
                        enumerate_maximum_independent_sets, is_independent,
                        mu)
+from critindep.independence import ALPHA_CEILING
 
-from common import complete, cycle, empty, path, petersen, star
+from common import (complete, cycle, disjoint_triangles, empty, path,
+                    petersen, star)
 from conftest import bipartite_graphs, graphs
 
 
@@ -43,6 +45,14 @@ class TestAlpha:
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             alpha(empty(5), limit=4)
+
+    def test_limit_above_the_ceiling_raises_before_any_search(self):
+        # Branch-and-bound at this limit would recurse past Python's limit.
+        message = f"alpha limit must be at most {ALPHA_CEILING}, got 5000"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            alpha(disjoint_triangles(1000), 5000)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            alpha(empty(1), 5000)
 
     @settings(max_examples=150)
     @given(g=graphs(max_n=8))

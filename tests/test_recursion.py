@@ -20,7 +20,7 @@ BOUNDED = {
     "gallai_edmonds.missed_vertices_oracle.rec":
         "n <= 10 (MISSED_VERTICES_LIMIT)",
     "independence._alpha_mask.rec":
-        "n, at most the alpha limit, which the CLI caps at ALPHA_CEILING",
+        "n, at most the alpha limit, which alpha caps at ALPHA_CEILING",
     "independence._iter_maximum_independent_masks.rec":
         "n <= 20 (the omega limit's ceiling)",
     "cli._json_text": "the payload's nesting depth",

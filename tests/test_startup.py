@@ -1,12 +1,15 @@
-"""What a fresh `import critindep.cli` costs.
+"""What a fresh `import critindep.cli` and one command cost.
 
 Every command runs in its own interpreter, so the import is paid once
 per graph.  The records are NamedTuples and `Graph` a hand-written
 class, so the import loads neither `dataclasses` nor the `inspect`
-module it pulls in, and `datetime` is imported only to stamp a report.
+module it pulls in; `datetime` is imported only to stamp a report; and
+a well-formed command line is read without argparse, so neither it nor
+the `gettext` and `locale` modules its parser build loads are imported.
 The first test imports the package and runs a `--no-timestamp` command
 in a fresh interpreter and lists the modules it loaded; the second
-parses the package and fails on any `dataclasses` import.
+checks that help still comes from argparse; the third parses the
+package and fails on any `dataclasses` import.
 """
 
 import ast
@@ -20,7 +23,8 @@ import critindep
 PACKAGE = Path(critindep.__file__).parent
 
 # Modules start-up must not load.
-HEAVY = ("dataclasses", "inspect", "datetime")
+HEAVY = ("dataclasses", "inspect", "datetime", "argparse", "gettext",
+         "locale")
 
 # Run with -S: a `.pth` hook of site-packages may import modules of its
 # own, and this test asks only what the package loads.
@@ -44,6 +48,16 @@ def test_start_up_loads_no_heavy_module(tmp_path):
         capture_output=True, text=True, check=True).stdout
     loaded = json.loads(out.splitlines()[-1])
     assert loaded == {"import": [], "no_timestamp": []}
+
+
+def test_help_is_printed_by_argparse():
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
+            "import critindep.cli\ncritindep.cli.main(['analyze', '--help'])")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: critindep analyze [-h] ")
 
 
 def _dataclass_imports(package: Path) -> list[str]:
