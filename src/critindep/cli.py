@@ -84,15 +84,16 @@ def _limits_from(args) -> Limits:
 def _load_graph(path: str, fmt: str) -> tuple[Graph, bytes, str]:
     data = Path(path).read_bytes()
     text = data.decode()
-    if fmt == "auto":
-        # Only the first line that is neither blank nor a comment decides.
+    if fmt != "edgelist":
+        # The first line that is neither blank nor a comment decides the
+        # format, and is the graph6 line; '#' is not a graph6 byte.
         first = next((s for ln in text.splitlines()
                       if (s := ln.strip()) and not s.startswith("#")), "")
-        # graph6 holds no whitespace; an edge-list line holds two fields.
-        fmt = "edgelist" if len(first.split()) > 1 else "graph6"
+        if fmt == "auto":
+            # graph6 holds no whitespace; an edge-list line holds two fields.
+            fmt = "edgelist" if len(first.split()) > 1 else "graph6"
     if fmt == "edgelist":
         return parse_edge_list(text), data, "edgelist"
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
     return parse_graph6(first), data, "graph6"
 
 

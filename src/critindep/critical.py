@@ -21,11 +21,13 @@ Polynomial routes, all read off one matching of the double cover:
     iff some minimum vertex cover of the double cover misses both copies
     of v.
 
-The copy layout and every fresh Hopcroft-Karp run live in
+The copy layout and every Hopcroft-Karp run live in
 `matching._match_sides`: the double cover is its matching with both
 sides full, and the best difference inside a set S is |S| minus its
 matching of S into N(S) (Hall's defect formula).  One maximum matching
-M of the double cover is computed per graph and kept on the graph,
+M of the double cover is computed per graph and kept on the graph.  It
+starts from the graph's own Edmonds matching, doubled (u to mate(u) + n),
+which is n - 2 mu - d_c augmentations short of maximum.  M is kept
 together with its alternating structure, built on first use: the slack
 left copies (those an alternating path from an exposed left copy
 reaches), each with the parent that leads back to its exposed copy, and,
@@ -69,7 +71,7 @@ from .errors import LimitExceededError, PreconditionError
 from .graphs import (Graph, VertexSet, _per_graph, difference, neighborhood,
                      set_of)
 from .independence import is_independent
-from .matching import _match_sides
+from .matching import _base_matching, _match_sides
 
 ENUMERATION_LIMIT = 16
 SUBSET_SEARCH_LIMIT = 25
@@ -114,8 +116,16 @@ class _Cover(NamedTuple):
 @_per_graph
 def _double_cover(g: Graph) -> _Cover:
     """The double cover of g, shared by every `critical_difference`,
-    `cover_ker`, `ker_without` and `diadem` call on g."""
-    adj, match, _ = _match_sides(g, range(g.n), range(g.n))
+    `cover_ker`, `ker_without` and `diadem` call on g.
+
+    Its matching starts from g's own maximum matching M, doubled: u to
+    mate(u) + n.  That matching of the cover has 2 mu pairs, and the
+    cover's maximum has n - d_c, so Hopcroft-Karp has n - 2 mu - d_c
+    augmenting paths left to find (d_c <= n - 2 mu), where from the
+    empty matching it had n - d_c.
+    """
+    adj, match, _ = _match_sides(g, range(g.n), range(g.n),
+                                 _base_matching(g).match)
     return _Cover(adj, tuple(match), match[:g.n].count(-1))
 
 
@@ -512,12 +522,18 @@ def diadem(g: Graph) -> VertexSet:
       neither it nor the slack copies hold u = mate(v + n), so that the
       cover can take u instead of v + n.
     """
-    nbrs, match, _ = _double_cover(g)
+    match = _double_cover(g).match
     slack = _slack_pass(g).flags
     comp, reach = _structure(g)
     n = g.n
-    blocked = sum(1 << x for x, rs in enumerate(nbrs)
-                  if any(match[r] == -1 for r in rs))
+    # The left copies with an exposed right neighbour are the neighbours
+    # in g of the vertices whose right copy is exposed.
+    nbrs = g.nbrs
+    blocked = 0
+    for w in range(n):
+        if match[w + n] == -1:
+            for x in nbrs[w]:
+                blocked |= 1 << x
     members = []
     for v in range(n):
         if not slack[v]:
@@ -661,8 +677,9 @@ def build_hx(g: Graph, x: Iterable[int]) -> HXGadget:
     embedding.update({u: len(xs) + i for i, u in enumerate(ns)})
     v_label = len(xs) + len(ns)
     w_label = v_label + 1
-    edges = [(embedding[a], embedding[b]) for a, b in g.edges
-             if (a in xset and b in nset) or (b in xset and a in nset)]
+    # X is independent, so each neighbour of a vertex of X lies in N(X).
+    nbrs = g.nbrs
+    edges = [(embedding[a], embedding[b]) for a in xs for b in nbrs[a]]
     edges.append((v_label, w_label))
     edges.extend((embedding[u], v_label) for u in ns)
     return HXGadget(host=g, x=xset,
@@ -704,17 +721,29 @@ def _check_strict_subset_differences(g: Graph, xs: VertexSet) -> None:
                 f">= d(x) = {dx}")
 
 
+_STRICTLY_POSITIVE = f"{__name__}._strictly_positive"
+
+
 def _strictly_positive(g: Graph, x: Iterable[int]) -> tuple[VertexSet, int]:
     """x as a set and d(x), once x is checked to be independent, to have
     d(x) > 0 and to have no proper subset of difference d(x) or more:
-    the sets of `verify_hx_ker` and `decompose_minimal`."""
+    the sets of `verify_hx_ker` and `decompose_minimal`.
+
+    A set that passes is kept with d(x) on g, in a dict in g.__dict__ as
+    `_per_graph` keeps its structures, so the two routes pay the checks
+    once for the same set; a set that fails is not kept and raises again.
+    """
     xs = g.members(x)
+    passed = g.__dict__.setdefault(_STRICTLY_POSITIVE, {})
+    if xs in passed:
+        return xs, passed[xs]
     if not is_independent(g, xs):
         raise PreconditionError("x must be independent")
     dx = difference(g, xs)
     if dx <= 0:
         raise PreconditionError(f"d(x) = {dx}, need positive")
     _check_strict_subset_differences(g, xs)
+    passed[xs] = dx
     return xs, dx
 
 

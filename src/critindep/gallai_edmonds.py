@@ -6,11 +6,13 @@ in D iff deleting v does not lower the matching number).  The maximum
 matching of the graph comes from passes of one alternating forest grown
 from every exposed vertex; the last pass flips nothing, and each of these
 n numbers is read off its even vertices.  A = N(D) - D is read off the
-neighbour lists.  The components of G[D] are the `components` of the
-induced subgraph G[D], and one pass over that subgraph's edges hands
-each component its own edges.  Each factor-critical flag of a
+neighbour lists.  The components of G[D] come from one search over the
+neighbour lists that steps only onto D.  Each factor-critical flag of a
 component reads that component's own last pass: odd order, one vertex
-left exposed, and every vertex even.  A singleton component is K1,
+left exposed, and every vertex even.  Each flag's passes start from the
+pairs of the graph's maximum matching inside its component, which for
+the true D leave one vertex exposed already, so one pass proves the
+component's matching maximum.  A singleton component is K1,
 factor-critical without a matching.
 
 The partition is built once per graph and kept on the graph, so the
@@ -25,11 +27,11 @@ from operator import or_
 from typing import NamedTuple
 
 from .errors import LimitExceededError
-from .graphs import Graph, VertexSet, _per_graph, bits, induced_subgraph
+from .graphs import Graph, VertexSet, _per_graph, bits
 # ker stays bound here: perfbench/test_perfbench.py checks that the tracer
 # rebinds and restores it in this namespace.
 from .critical import ker  # noqa: F401
-from .matching import _base_matching, is_factor_critical, mu
+from .matching import _base_matching, _maximise, mu
 
 SUBSET_CLAUSE_LIMIT = 15
 MISSED_VERTICES_LIMIT = 10
@@ -64,25 +66,52 @@ def gallai_edmonds(g: Graph) -> GallaiEdmondsPartition:
 def _d_components(g: Graph, d_set: VertexSet
                   ) -> tuple[tuple[VertexSet, bool], ...]:
     """The components of G[D] by smallest member, each with its
-    factor-critical flag.  Each non-singleton component is built from its
-    own edges, handed out by one pass over the edges of G[D] and
-    relabelled in ascending order, as `induced_subgraph` would cut it out
-    of g."""
-    sub, labels = induced_subgraph(g, d_set)
-    groups = [sorted(comp) for comp in sub.components]
-    comp = [0] * sub.n
-    rank = [0] * sub.n
-    for c, group in enumerate(groups):
+    factor-critical flag.
+
+    The components are found by one search over g's neighbour lists that
+    steps only onto vertices flagged in D.  A singleton is K1, factor
+    critical.  Each other component gets its own adjacency lists, its
+    vertices ranked in ascending order, and `_maximise` runs on them from
+    the pairs of g's maximum matching M that lie inside it.  The
+    component is factor-critical iff its last pass leaves exactly one
+    vertex exposed (so its order is odd) and makes every vertex even (see
+    `matching.is_factor_critical`).  For the true D, M already leaves one
+    vertex of each component unmatched inside it, so one pass proves it
+    maximum; any other set gets its flags from its own matching all the
+    same.
+    """
+    n = g.n
+    nbrs = g.nbrs
+    partner = _base_matching(g).match
+    inside = bytearray(n)
+    for v in d_set:
+        inside[v] = 1
+    seen = bytearray(n)
+    rank = [0] * n
+    out = []
+    for start in range(n):
+        if not inside[start] or seen[start]:
+            continue
+        seen[start] = 1
+        group = [start]
+        for v in group:
+            for w in nbrs[v]:
+                if inside[w] and not seen[w]:
+                    seen[w] = 1
+                    group.append(w)
+        if len(group) == 1:
+            out.append((frozenset(group), True))
+            continue
+        group.sort()
         for i, v in enumerate(group):
-            comp[v] = c
             rank[v] = i
-    edges: list[list[tuple[int, int]]] = [[] for _ in groups]
-    for a, b in sub.edges:
-        edges[comp[a]].append((rank[a], rank[b]))
-    return tuple((frozenset(labels[v] for v in group),
-                  len(group) == 1 or is_factor_critical(
-                      Graph.build(len(group), own)))
-                 for group, own in zip(groups, edges))
+        adj = [[rank[w] for w in nbrs[v] if inside[w]] for v in group]
+        match = [rank[w] if (w := partner[v]) != -1 and inside[w] else -1
+                 for v in group]
+        even = _maximise(adj, match)
+        out.append((frozenset(group),
+                    match.count(-1) == 1 and 0 not in even))
+    return tuple(out)
 
 
 def missed_vertices_oracle(g: Graph,

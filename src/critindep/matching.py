@@ -1,15 +1,17 @@
 """Maximum matchings: bipartite (layered augmenting paths), general
 (blossom contraction), a brute-force oracle, and matching predicates.
 
-Every bipartite matching built from scratch comes from `_match_sides`:
-it gives each vertex of one side a left copy and each vertex of the
-other a right copy, joins them along the graph's edges and runs
-Hopcroft-Karp.  The double cover, the S-versus-N(S) matchings and the
-matchings between two vertex sets are all such matchings.  The layered
-search for augmenting paths is iterative, so a path as long as the
-graph needs no deeper call stack than a short one.  Every matching here
-reads the graph's neighbour lists; only the brute-force oracle reads its
-n-bit masks.
+Every bipartite matching comes from `_match_sides`: it gives each vertex
+of one side a left copy and each vertex of the other a right copy, joins
+them along the graph's edges and runs Hopcroft-Karp, which extends the
+matching it is handed.  The double cover, the S-versus-N(S) matchings
+and the matchings between two vertex sets are all such matchings.  The
+double cover starts from the graph's own maximum matching, doubled,
+which is n - 2 mu - d_c augmenting paths short of maximum; the others
+start empty.  The layered search for augmenting paths is iterative, so a path
+as long as the graph needs no deeper call stack than a short one.  Every
+matching here reads the graph's neighbour lists; only the brute-force
+oracle reads its n-bit masks.
 
 The general matching of a graph is computed once per graph by
 `_base_matching` and kept on the graph, from passes of one
@@ -17,9 +19,11 @@ blossom-contraction routine, `_forest` (Edmonds; Lovasz-Plummer,
 Matching Theory, ch. 3).  Each pass grows one alternating forest from
 every exposed vertex and flips each augmenting path it meets, an edge
 between two trees.  The first pass, from the empty matching, matches
-greedily.  Passes repeat until one flips nothing: that pass proves the
-matching maximum, and its even vertices are the Gallai-Edmonds set D,
-so mu(G - v) is a lookup.
+greedily.  `_maximise` repeats passes until one flips nothing: that
+pass proves the matching maximum, and its even vertices are the
+Gallai-Edmonds set D, so mu(G - v) is a lookup.  The factor-critical
+flags of the components of G[D] come from the same passes, each started
+from this matching's pairs inside its component.
 
 Witness matchings are valid and maximum but not canonical; callers must
 assert only size and validity.  Tie-breaking everywhere is lowest-vertex
@@ -74,7 +78,8 @@ def max_matching_bipartite(g: Graph, left: Iterable[int],
     return _matching_of_sides(*_match_sides(g, sorted(lset), sorted(rset)))
 
 
-def _match_sides(g: Graph, left: Sequence[int], right: Sequence[int]
+def _match_sides(g: Graph, left: Sequence[int], right: Sequence[int],
+                 partner: Sequence[int] | None = None
                  ) -> tuple[list[list[int]], list[int], list[int]]:
     """Maximum matching between a left copy of each vertex of `left` and
     a right copy of each vertex of `right`, two ascending vertex lists,
@@ -87,14 +92,25 @@ def _match_sides(g: Graph, left: Sequence[int], right: Sequence[int]
     the double cover.  The lists may overlap.  Only the left copies have
     adjacency lists, read off g's neighbour lists, because Hopcroft-Karp
     scans the edges of left vertices alone.
+
+    `partner`, a matching of g given as each vertex's mate in g's labels
+    (-1 at an exposed vertex), seeds the search: the left copy of u is
+    matched to the right copy of partner[u] wherever both copies exist,
+    and Hopcroft-Karp extends that matching.
     """
     index = [-1] * g.n
     for i, v in enumerate(right, len(left)):
         index[v] = i
     nbrs = g.nbrs
     adj = [[i for w in nbrs[u] if (i := index[w]) != -1] for u in left]
-    match = _hopcroft_karp(len(left) + len(right), adj,
-                           list(range(len(left))))
+    match = [-1] * (len(left) + len(right))
+    if partner is not None:
+        for i, u in enumerate(left):
+            w = partner[u]
+            if w != -1 and (j := index[w]) != -1:
+                match[i] = j
+                match[j] = i
+    _hopcroft_karp(adj, match, range(len(left)))
     return adj, match, [*left, *right]
 
 
@@ -106,24 +122,27 @@ def _matching_of_sides(adj: list[list[int]], match: list[int],
         for i in range(len(adj)) if match[i] != -1)))
 
 
-def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]
-                   ) -> list[int]:
-    """Match array over all n vertices; -1 means unmatched.
+def _hopcroft_karp(adj: list[list[int]], match: list[int],
+                   left: Sequence[int]) -> None:
+    """Extend `match`, a match array over all vertices (-1 means
+    unmatched), in place to a maximum matching.
 
     Only the vertices listed in `left` are searched from; a right vertex
     is entered only through its mate's `dist`, which the search sets for
-    listed left vertices alone.  The first phase from the empty matching
-    takes each listed vertex's first free neighbour, so one greedy pass
-    stands in for it.
+    listed left vertices alone.  Each listed vertex still exposed first
+    takes its first free neighbour, a greedy pass that stands in for the
+    first phase when `match` starts empty; then phases of layered
+    augmenting paths run until none is left.
     """
+    n = len(match)
     INF = n + 1
-    match = [-1] * n
     for u in left:
-        for v in adj[u]:
-            if match[v] == -1:
-                match[u] = v
-                match[v] = u
-                break
+        if match[u] == -1:
+            for v in adj[u]:
+                if match[v] == -1:
+                    match[u] = v
+                    match[v] = u
+                    break
     dist = [0] * n
 
     def search(root: int) -> None:
@@ -178,7 +197,6 @@ def _hopcroft_karp(n: int, adj: list[list[int]], left: list[int]
         for u in left:
             if match[u] == -1:
                 search(u)
-    return match
 
 
 def _flip(match: list[int], parent: list[int], u: int) -> None:
@@ -276,17 +294,23 @@ class _MaxMatching(NamedTuple):
     even: bytes     # 1 at each vertex of D
 
 
+def _maximise(adj: Sequence[Sequence[int]], match: list[int]) -> bytearray:
+    """Extend `match` in place to a maximum matching by `_forest` passes
+    until one flips nothing, and return that pass's even flags: the
+    Gallai-Edmonds set D of the graph `adj` lists."""
+    while True:
+        flipped, even = _forest(adj, match)
+        if not flipped:
+            return even
+
+
 @_per_graph
 def _base_matching(g: Graph) -> _MaxMatching:
     """One maximum matching of g, its size and D, shared by every `mu`,
-    `max_matching_general` and `is_factor_critical` call on g: `_forest`
-    passes from the empty matching until one flips nothing.  A graph with
-    no edge has every vertex exposed and even, and runs no pass."""
+    `max_matching_general` and `is_factor_critical` call on g, and the
+    seed of g's double cover: `_maximise` from the empty matching."""
     match = [-1] * g.n
-    even = bytearray(b"\1" * g.n)
-    flipped = bool(g.edges)
-    while flipped:
-        flipped, even = _forest(g.nbrs, match)
+    even = _maximise(g.nbrs, match)
     return _MaxMatching(tuple(match), (g.n - match.count(-1)) // 2,
                         bytes(even))
 

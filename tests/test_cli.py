@@ -219,6 +219,19 @@ class TestAnalyze:
         assert auto[0] == 0
         assert auto[1]["input"]["format"] == "edgelist"
 
+    @pytest.mark.parametrize("fmt", ["auto", "graph6"])
+    def test_graph6_after_a_comment_line(self, capsys, tmp_path, fmt):
+        # Auto-detection skips the comment; the graph6 parser once read
+        # the comment line and rejected '#' as out of range.
+        target = tmp_path / "star.g6"
+        target.write_text(f"# note\n\n  {to_graph6(star(3))}\n")
+        code, report = run_json(capsys, [
+            "analyze", str(target), "--format", fmt, "--json",
+            "--no-timestamp"])
+        assert code == 0
+        assert report["input"]["format"] == "graph6"
+        assert (report["input"]["n"], report["input"]["m"]) == (4, 3)
+
     def test_long_augmenting_paths_end_without_a_traceback(self, capsys,
                                                            tmp_path):
         # The double cover's Hopcroft-Karp search once recursed along

@@ -311,6 +311,44 @@ class TestVerifyHXKer:
             verify_hx_ker(cycle(5), [0, 2])
 
 
+class TestStrictlyPositiveIsKept:
+    """The precondition of `decompose_minimal` and `verify_hx_ker` is
+    checked once per graph and set."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        counted = critical._max_differences_without
+
+        def counting(g, xs):
+            calls.append(xs)
+            return counted(g, xs)
+
+        monkeypatch.setattr(critical, "_max_differences_without", counting)
+        return calls
+
+    def test_decompose_then_verify_on_ker_checks_once(self, calls):
+        g = star(3)
+        kernel = critical.cover_ker(g)
+        assert kernel == {1, 2, 3}
+        decompose_minimal(g, kernel)
+        assert verify_hx_ker(g, kernel)
+        assert calls == [kernel]
+        # Another set, and an equal graph built apart, pay their own check.
+        verify_hx_ker(g, [1, 2])
+        verify_hx_ker(Graph.build(g.n, g.edges), kernel)
+        assert len(calls) == 3
+
+    def test_a_failing_set_raises_each_time_and_is_not_kept(self, calls):
+        g, x = figure1_graph()
+        for route in (decompose_minimal, verify_hx_ker, decompose_minimal):
+            with pytest.raises(PreconditionError):
+                route(g, x)
+        assert len(calls) == 3
+        assert frozenset(x) not in g.__dict__.get(
+            critical._STRICTLY_POSITIVE, {})
+
+
 class TestDecomposeMinimal:
     def test_star_leaves(self):
         dec = decompose_minimal(star(3), [1, 2, 3])

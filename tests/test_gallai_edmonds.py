@@ -268,11 +268,17 @@ def partition_per_component(g: Graph) -> GallaiEdmondsPartition:
     d_set = frozenset(v for v in range(g.n) if mt.mu(g, v) == base)
     a_set = neighborhood(g, d_set) - d_set
     c_set = frozenset(range(g.n)) - d_set - a_set
+    return GallaiEdmondsPartition(d_set, a_set, c_set,
+                                  components_per_component(g, d_set))
+
+
+def components_per_component(g: Graph, d_set) -> tuple:
+    """The components of G[d_set], each cut out of G[d_set] by its own
+    induced subgraph and flagged by `is_factor_critical` on it."""
     sub, labels = induced_by_dict(g, d_set)
-    comps = tuple((frozenset(labels[v] for v in comp),
-                   mt.is_factor_critical(induced_by_dict(sub, comp)[0]))
-                  for comp in components_by_masks(sub))
-    return GallaiEdmondsPartition(d_set, a_set, c_set, comps)
+    return tuple((frozenset(labels[v] for v in comp),
+                  mt.is_factor_critical(induced_by_dict(sub, comp)[0]))
+                 for comp in components_by_masks(sub))
 
 
 def clauses_by_scan(g: Graph, p: GallaiEdmondsPartition,
@@ -318,6 +324,34 @@ def scrambled_partition(g: Graph, rng: random.Random
         rest = rest[size:]
     return GallaiEdmondsPartition(frozenset().union(*(c for c, _ in comps)),
                                   a_set, frozenset(), tuple(comps))
+
+
+class TestComponentFlags:
+    """`_d_components` runs forest passes on each component's own
+    adjacency lists from g's matching; it must agree with a fresh
+    induced subgraph per component."""
+
+    def test_flags_equal_the_per_component_route_up_to_six(self):
+        for n in range(7):
+            for g in all_labeled_graphs(n):
+                assert (ge._d_components(g, gallai_edmonds(g).d_set)
+                        == partition_per_component(g).d_components)
+
+    def test_tampered_sets_get_their_own_flags(self):
+        # Sets other than D: random sets, and D with one vertex added or
+        # dropped.  g's matching need not be near-perfect on their
+        # components, many of which are not factor-critical.
+        rng = random.Random(27)
+        flags = set()
+        for g in random_graphs(400, seed=27, max_n=10):
+            d_set = gallai_edmonds(g).d_set
+            tampered = [frozenset(v for v in range(g.n) if rng.random() < 0.6)]
+            tampered += [d_set ^ {v} for v in range(g.n)]
+            for s in tampered:
+                got = ge._d_components(g, s)
+                assert got == components_per_component(g, s)
+                flags.update(flag for comp, flag in got if len(comp) > 1)
+        assert flags == {True, False}
 
 
 class TestSparseRoutes:

@@ -187,8 +187,8 @@ def _match_sides_by_masks(g, lmask, rmask):
     rvs = list(bits(rmask))
     index = {v: len(lvs) + i for i, v in enumerate(rvs)}
     adj = [[index[w] for w in bits(g.adj[u] & rmask)] for u in lvs]
-    match = mt._hopcroft_karp(len(lvs) + len(rvs), adj,
-                              list(range(len(lvs))))
+    match = [-1] * (len(lvs) + len(rvs))
+    mt._hopcroft_karp(adj, match, range(len(lvs)))
     return adj, match, lvs + rvs
 
 
@@ -200,6 +200,28 @@ class TestMatchSides:
         rmask = data.draw(st.integers(0, g.full_mask))
         got = mt._match_sides(g, list(bits(lmask)), list(bits(rmask)))
         assert got == _match_sides_by_masks(g, lmask, rmask)
+
+    @settings(max_examples=300)
+    @given(g=graphs(max_n=12), data=st.data())
+    def test_a_seed_is_extended_to_a_maximum_matching(self, g, data):
+        # The seed is g's Edmonds matching or a random maximal matching;
+        # each pair whose two copies exist starts matched.
+        if data.draw(st.booleans()):
+            partner = mt._base_matching(g).match
+        else:
+            partner = [-1] * g.n
+            for u, v in data.draw(st.permutations(g.edges)):
+                if partner[u] == partner[v] == -1:
+                    partner[u], partner[v] = v, u
+        left = list(bits(data.draw(st.integers(0, g.full_mask))))
+        right = list(bits(data.draw(st.integers(0, g.full_mask))))
+        adj, match, _ = mt._match_sides(g, left, right, partner)
+        for i, j in enumerate(match):
+            # Each pair is one edge between a left and a right copy.
+            assert j == -1 or match[j] == i
+            assert j == -1 or i >= len(adj) or j in adj[i]
+        _, fresh, _ = mt._match_sides(g, left, right)
+        assert match[:len(adj)].count(-1) == fresh[:len(adj)].count(-1)
 
     def test_whole_range_is_the_double_cover_layout(self):
         g = petersen()
